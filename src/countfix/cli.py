@@ -10,13 +10,16 @@ Flags override values from an optional --config JSON file. All outputs are
 plain rectangular data rendered at 12 significant digits and are
 byte-deterministic for a fixed configuration.
 
-Exit codes: 0 success, 2 usage or validation error, 3 I/O error.
+This module only converts text to the types the library takes; the library
+constructors check the ranges. Exit codes: 0 success, 2 usage or validation
+error (the message names the flag), 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,24 +32,33 @@ from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, po
 from .montecarlo import EmpiricalColumn, ShotConfig, empirical_matrix
 from .priors import NumberPrior, custom_prior, pdc_prior, uniform_prior
 
-__all__ = ["RunConfig", "PriorSpec", "UsageError", "parse_config", "run", "main"]
+__all__ = ["RunConfig", "UsageError", "parse_config", "run", "main"]
 
 EMIT_CHOICES = ("pmn", "pn", "pnm", "optmap", "fidelity", "simulate")
 
-_DEFAULT_EMIT = "pmn,pn,pnm,optmap,fidelity"
-
-_DEFAULTS = {
-    "p_loss": 0.0,
-    "lambda": 0.0,
-    "tail_eps": 1e-10,
-    "n_max": 19,
-    "prior": None,
-    "emit": _DEFAULT_EMIT,
-    "format": "csv",
-    "out": ".",
-    "seed": 0,
-    "shots": 10**6,
+# config key -> (flag, type, default, help). The table drives argparse, the
+# keys a --config file may set, and the defaults; `prior` and `emit` are
+# flags of `run` only.
+_FLAGS = {
+    "p_loss": ("--p-loss", float, 0.0, "per-photon loss probability in [0, 1]"),
+    "lambda": ("--lambda", float, 0.0, "mean dark counts per shot, >= 0"),
+    "tail_eps": ("--tail-eps", float, 1e-10, "truncation tail bound in (0, 1)"),
+    "n_max": ("--n-max", int, 19, "largest incident photon number"),
+    "prior": ("--prior", str, None, "photon-number prior: pdc:<chi> | uniform:<lo>:<hi> | custom:<path>"),
+    "emit": ("--emit", str, "pmn,pn,pnm,optmap,fidelity",
+             f"comma-separated artifacts from {{{','.join(EMIT_CHOICES)}}}"),
+    "format": ("--format", str, "csv", "output file format: csv or json"),
+    "out": ("--out", str, ".", "output directory"),
+    "seed": ("--seed", int, 0, "64-bit Monte Carlo stream seed"),
+    "shots": ("--shots", int, 10**6, "Monte Carlo repetitions"),
 }
+
+_RUN_ONLY = ("prior", "emit")
+
+# Largest array a run may allocate, in bytes: the P(m|n) matrix, estimated in
+# integers as (n_max + 1) * (n_max + lambda + 1) float64 entries, or a uniform
+# prior. The largest configuration in use (n_max 300, lambda 5) needs 0.74 MB.
+MAX_ARRAY_BYTES = 2**25
 
 UNDEFINED = "undefined"
 
@@ -56,63 +68,60 @@ class UsageError(ValueError):
 
 
 @dataclass(frozen=True)
-class PriorSpec:
-    """Parsed --prior value: pdc:<chi> | uniform:<lo>:<hi> | custom:<path>."""
-
-    kind: str
-    chi: float = 0.0
-    lo: int = 0
-    hi: int = 0
-    path: Path | None = None
-    text: str = ""
-
-    def build(self, n_max: int) -> NumberPrior:
-        if self.kind == "pdc":
-            return pdc_prior(self.chi, n_max=n_max)
-        if self.kind == "uniform":
-            return uniform_prior(self.lo, self.hi)
-        weights = _load_custom_weights(self.path)
-        return custom_prior(weights, label=f"custom({self.path.name})")
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Fully validated configuration for one invocation."""
+    """Validated configuration for one invocation."""
 
     detector: DetectorParams
-    prior_spec: PriorSpec | None
+    shot_config: ShotConfig
+    prior: NumberPrior | None
+    prior_spec: str | None
     n_max: int
     outputs: tuple[str, ...]
-    seed: int
-    shots: int
     out_dir: Path
     format: str
-
-    def __post_init__(self) -> None:
-        if not self.outputs:
-            raise ValueError("at least one output must be selected")
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Parse argv (and an optional --config JSON file) into a RunConfig.
 
     Explicit flags override config-file values, which override defaults.
-    Raises UsageError on invalid values; argparse itself exits with code 2
+    Raises UsageError on invalid values; argparse itself raises SystemExit(2)
     on unknown flags.
     """
     args = _build_parser().parse_args(argv)
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, _, default, _) in _FLAGS.items()}
     if args.config is not None:
         values.update(_load_config_file(args.config))
-    for key in _DEFAULTS:
-        attr = "lam" if key == "lambda" else key
-        flag_value = getattr(args, attr, None)
-        if flag_value is not None:
-            values[key] = flag_value
+    for key, (flag, kind, _, _) in _FLAGS.items():
+        text = getattr(args, key, None)
+        if text is not None:
+            values[key] = _coerce(text, kind, flag)
     if args.command == "simulate":
         values["emit"] = "simulate"
         values["prior"] = None
-    return _validate(values, command=args.command)
+    elif values["prior"] is None:
+        raise UsageError("--prior is required for `run` (pdc:<chi> | uniform:<lo>:<hi> | custom:<path>)")
+    if values["format"] not in ("csv", "json"):
+        raise UsageError(f"--format: expected csv or json, got {values['format']!r}")
+    outputs = _parse_emit(values["emit"])
+    detector = _checked("--p-loss, --lambda, --tail-eps", DetectorParams, p_loss=values["p_loss"],
+                        lam=values["lambda"], tail_epsilon=values["tail_eps"])
+    shot_config = _checked("--seed, --shots", ShotConfig, params=detector, seed=values["seed"],
+                           shots=values["shots"])
+    n_max = values["n_max"]
+    rows = max(n_max, 0) + 1
+    _check_size("--n-max, --lambda", rows * (rows + math.ceil(detector.lam)) * 8)
+    prior = None if values["prior"] is None else _parse_prior(values["prior"], n_max)
+    return RunConfig(
+        detector=detector,
+        shot_config=shot_config,
+        prior=prior,
+        prior_spec=values["prior"],
+        n_max=n_max,
+        outputs=outputs,
+        out_dir=Path(values["out"]),
+        format=values["format"],
+    )
 
 
 def run(config: RunConfig) -> int:
@@ -123,12 +132,12 @@ def run(config: RunConfig) -> int:
     """
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"countfix: cannot create output directory: {exc}", file=sys.stderr)
         return 3
     try:
         result = _compute(config)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"countfix: error: {exc}", file=sys.stderr)
         return 2
     if result.post is not None and not result.post.defined.all():
@@ -153,6 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"countfix: error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # argparse: its own usage errors, --help, --version
+        return exc.code
     return run(config)
 
 
@@ -171,136 +182,89 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_p = sub.add_parser("simulate", help="run the seeded Monte Carlo and emit counts")
     for p in (run_p, sim_p):
         p.add_argument("--config", type=Path, help="JSON file providing defaults for any flag")
-        p.add_argument("--p-loss", dest="p_loss", type=float, help="per-photon loss probability in [0, 1] (default 0)")
-        p.add_argument("--lambda", dest="lam", type=float, help="mean dark counts per shot, >= 0 (default 0)")
-        p.add_argument("--tail-eps", dest="tail_eps", type=float, help="truncation tail bound in (0, 1) (default 1e-10)")
-        p.add_argument("--n-max", dest="n_max", type=int, help="largest incident photon number (default 19)")
-        p.add_argument("--format", choices=("csv", "json"), help="output file format (default csv)")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--seed", type=int, help="64-bit Monte Carlo stream seed (default 0)")
-        p.add_argument("--shots", type=int, help="Monte Carlo repetitions (default 1000000)")
-    run_p.add_argument("--prior", help="photon-number prior: pdc:<chi> | uniform:<lo>:<hi> | custom:<path>")
-    run_p.add_argument(
-        "--emit",
-        help=f"comma-separated artifacts from {{{','.join(EMIT_CHOICES)}}} (default {_DEFAULT_EMIT})",
-    )
+    for key, (flag, _, default, text) in _FLAGS.items():
+        if default is not None:
+            text = f"{text} (default {default})"
+        for p in (run_p,) if key in _RUN_ONLY else (run_p, sim_p):
+            p.add_argument(flag, dest=key, help=text)
     return parser
 
 
 def _load_config_file(path: Path) -> dict:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"--config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--config: {path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path, "--config")
     if not isinstance(raw, dict):
         raise UsageError(f"--config: {path} must contain a JSON object")
-    unknown = sorted(set(raw) - set(_DEFAULTS))
+    unknown = sorted(set(raw) - set(_FLAGS))
     if unknown:
-        raise UsageError(f"--config: unknown keys {unknown}; allowed: {sorted(_DEFAULTS)}")
-    return raw
+        raise UsageError(f"--config: unknown keys {unknown}; allowed: {sorted(_FLAGS)}")
+    return {key: _coerce(value, _FLAGS[key][1], _FLAGS[key][0]) for key, value in raw.items()}
 
 
-def _validate(values: dict, command: str) -> RunConfig:
-    p_loss = _as_float(values["p_loss"], "--p-loss")
-    if not 0.0 <= p_loss <= 1.0:
-        raise UsageError(f"--p-loss must be in [0, 1] (got {values['p_loss']})")
-    lam = _as_float(values["lambda"], "--lambda")
-    if not lam >= 0.0:
-        raise UsageError(f"--lambda must be >= 0 (got {values['lambda']})")
-    tail_eps = _as_float(values["tail_eps"], "--tail-eps")
-    if not 0.0 < tail_eps < 1.0:
-        raise UsageError(f"--tail-eps must be in (0, 1) (got {values['tail_eps']})")
-    n_max = _as_int(values["n_max"], "--n-max")
-    if n_max < 0:
-        raise UsageError(f"--n-max must be >= 0 (got {n_max})")
-    seed = _as_int(values["seed"], "--seed")
-    if not 0 <= seed < 2**64:
-        raise UsageError(f"--seed must be an unsigned 64-bit integer (got {seed})")
-    shots = _as_int(values["shots"], "--shots")
-    if shots < 1:
-        raise UsageError(f"--shots must be >= 1 (got {shots})")
-    fmt = str(values["format"])
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"--format must be csv or json (got {fmt})")
-    outputs = _parse_emit(str(values["emit"]))
-    prior_spec = None
-    if values["prior"] is not None:
-        prior_spec = _parse_prior(str(values["prior"]))
-    elif command == "run":
-        raise UsageError("--prior is required for `run` (pdc:<chi> | uniform:<lo>:<hi> | custom:<path>)")
-    return RunConfig(
-        detector=DetectorParams(p_loss=p_loss, lam=lam, tail_epsilon=tail_eps),
-        prior_spec=prior_spec,
-        n_max=n_max,
-        outputs=outputs,
-        seed=seed,
-        shots=shots,
-        out_dir=Path(values["out"]),
-        format=fmt,
-    )
-
-
-def _as_float(value, flag: str) -> float:
+def _read_json(path: Path, flag: str):
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{flag}: not a number (got {value!r})") from None
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise UsageError(f"{flag}: file not found: {path}") from None
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
+        raise UsageError(f"{flag}: cannot read JSON from {path}: {exc}") from None
 
 
-def _as_int(value, flag: str) -> int:
-    if isinstance(value, float) and not value.is_integer():
-        raise UsageError(f"{flag}: not an integer (got {value!r})")
+def _coerce(value, kind: type, flag: str):
+    """Convert a flag or config value to `kind`: float, int or str.
+
+    Refuses bools, null, lists, dicts and fractional ints; ranges are the
+    library's to check.
+    """
+    accepted = (str,) if kind is str else (int, float, str)
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{flag}: not an integer (got {value!r})") from None
+        if isinstance(value, bool) or not isinstance(value, accepted) or fractional:
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{flag}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _checked(flags: str, constructor, *args, **kwargs):
+    """Call a library function, reporting its ValueError against `flags`."""
+    try:
+        return constructor(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{flags}: {exc}") from None
+
+
+def _check_size(flags: str, nbytes: int) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        raise UsageError(f"{flags}: the run would allocate more than {MAX_ARRAY_BYTES} bytes")
 
 
 def _parse_emit(text: str) -> tuple[str, ...]:
     names = [t.strip() for t in text.split(",") if t.strip()]
-    if not names:
-        raise UsageError("--emit: at least one output must be selected")
-    unknown = [t for t in names if t not in EMIT_CHOICES]
-    if unknown:
-        raise UsageError(f"--emit: unknown outputs {unknown}; choose from {list(EMIT_CHOICES)}")
-    seen = dict.fromkeys(names)
-    return tuple(seen)
+    if not names or any(t not in EMIT_CHOICES for t in names):
+        raise UsageError(f"--emit: expected one or more of {list(EMIT_CHOICES)} (got {text!r})")
+    return tuple(kind for kind in EMIT_CHOICES if kind in names)
 
 
-def _parse_prior(text: str) -> PriorSpec:
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "pdc" and len(parts) == 2:
-        chi = _as_float(parts[1], "--prior pdc")
-        if not 0.0 <= chi < 1.0:
-            raise UsageError(f"--prior: pdc chi must be in [0, 1) (got {parts[1]})")
-        return PriorSpec(kind="pdc", chi=chi, text=text)
-    if kind == "uniform" and len(parts) == 3:
-        lo = _as_int(parts[1], "--prior uniform")
-        hi = _as_int(parts[2], "--prior uniform")
-        if lo < 0 or hi < lo:
-            raise UsageError(f"--prior: uniform range needs 0 <= lo <= hi (got {text!r})")
-        return PriorSpec(kind="uniform", lo=lo, hi=hi, text=text)
-    if kind == "custom" and len(parts) == 2:
-        path = Path(parts[1])
-        if not path.is_file():
-            raise UsageError(f"--prior: custom weight file not found: {path}")
-        return PriorSpec(kind="custom", path=path, text=text)
+def _parse_prior(text: str, n_max: int) -> NumberPrior:
+    """Build the prior of a --prior spec: pdc:<chi> | uniform:<lo>:<hi> | custom:<path>."""
+    kind, *args = text.split(":")
+    if kind == "pdc" and len(args) == 1:
+        chi = _coerce(args[0], float, "--prior")
+        return _checked("--prior, --n-max", pdc_prior, chi, n_max=n_max)
+    if kind == "uniform" and len(args) == 2:
+        lo, hi = (_coerce(arg, int, "--prior") for arg in args)
+        _check_size("--prior", (hi + 1) * 8)
+        return _checked("--prior", uniform_prior, lo, hi)
+    if kind == "custom" and len(args) == 1:
+        path = Path(args[0])
+        raw = _read_json(path, "--prior")
+        if not isinstance(raw, list):
+            raise UsageError(f"--prior: {path} must hold a JSON array of nonnegative numbers")
+        weights = [_coerce(w, float, "--prior") for w in raw]
+        return _checked("--prior", custom_prior, weights, label=f"custom({path.name})")
     raise UsageError(
         f"--prior: cannot parse {text!r}; expected pdc:<chi>, uniform:<lo>:<hi> or custom:<path>"
     )
-
-
-def _load_custom_weights(path: Path) -> list[float]:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"--prior: cannot read custom weights from {path}: {exc}") from exc
-    if not isinstance(raw, list) or not all(isinstance(x, (int, float)) for x in raw):
-        raise UsageError(f"--prior: {path} must hold a JSON array of nonnegative numbers")
-    return [float(x) for x in raw]
 
 
 # --- pipeline ---
@@ -316,17 +280,15 @@ class _Result:
 
 
 def _compute(config: RunConfig) -> _Result:
-    matrix = build_matrix(config.detector, config.n_max)
-    prior = post = report = None
-    if config.prior_spec is not None:
-        prior = config.prior_spec.build(config.n_max)
-        post = posterior(matrix, prior)
+    matrix = _checked("--n-max", build_matrix, config.detector, config.n_max)
+    post = report = None
+    if config.prior is not None:
+        post = _checked("--prior, --n-max", posterior, matrix, config.prior)
         report = optimisation_map(post)
     empirical = None
     if "simulate" in config.outputs:
-        shot_config = ShotConfig(params=config.detector, seed=config.seed, shots=config.shots)
-        empirical = empirical_matrix(shot_config, config.n_max)
-    return _Result(matrix=matrix, prior=prior, post=post, report=report, empirical=empirical)
+        empirical = empirical_matrix(config.shot_config, config.n_max)
+    return _Result(matrix=matrix, prior=config.prior, post=post, report=report, empirical=empirical)
 
 
 # --- rendering ---
@@ -336,114 +298,63 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _cells(values: np.ndarray) -> list[list[str]]:
+    """Integers render exactly, floats at 12 significant digits, NaN as undefined."""
+    if values.dtype.kind in "iu":
+        return [[str(v) for v in row.tolist()] for row in values]
+    return [[UNDEFINED if math.isnan(v) else _fmt(v) for v in row.tolist()] for row in values]
+
+
+def _counts(columns: list[EmpiricalColumn]) -> np.ndarray:
+    """Histogram columns zero-padded to a common depth: rows m, columns n."""
+    depth = max(len(c.counts) for c in columns)
+    return np.column_stack([np.pad(c.counts, (0, depth - len(c.counts))) for c in columns])
+
+
+# artifact -> (file stem, row name, columns, description, values). `columns`
+# names index-labelled columns, or is the list of value names; the description
+# is formatted with the table's shape, the config and the result; `values` maps
+# the result to a 2-d array holding NaN where an outcome is undefined.
+_ARTIFACTS = {
+    "pmn": ("pmn", "m", "n", "P(m|n), {rows} x {cols}", lambda r: r.matrix.entries),
+    "pn": ("pn", "n", ["P(n)"], "{result.prior.label}, {rows} entries",
+           lambda r: r.prior.probs[:, np.newaxis]),
+    "pnm": ("pnm", "n", "m", "P(n|m), {rows} x {cols}",
+            lambda r: np.where(r.post.defined, r.post.entries, np.nan)),
+    "optmap": ("optmap", "m", ["m_opt"], "optimisation map, {rows} signatures",
+               lambda r: np.where(r.report.defined, r.report.map, np.nan)[:, np.newaxis]),
+    # the fidelities are NaN exactly where an outcome is undefined, and P(m) is 0
+    "fidelity": ("fidelity", "m", ["P(m)", "F_raw", "F_opt"], "fidelities, {rows} signatures",
+                 lambda r: np.column_stack([r.report.outcome_marginal, r.report.fidelity_raw,
+                                            r.report.fidelity_opt])),
+    "simulate": ("empirical_pmn", "m", "n",
+                 "empirical counts, seed={config.shot_config.seed}, shots={config.shot_config.shots}",
+                 lambda r: _counts(r.empirical)),
+}
+
+
 def _emit(config: RunConfig, result: _Result) -> list[str]:
-    ext = config.format
     lines = []
-    for kind in EMIT_CHOICES:
-        if kind not in config.outputs:
-            continue
-        path = config.out_dir / f"{_FILE_STEMS[kind]}.{ext}"
-        writer = _WRITERS[kind]
-        lines.append(writer(path, config, result))
-    if config.prior_spec is not None:
+    for kind in config.outputs:
+        stem, row_name, columns, description, values_of = _ARTIFACTS[kind]
+        values = values_of(result)
+        path = config.out_dir / f"{stem}.{config.format}"
+        _write_table(path, config.format, row_name, columns, _cells(values))
+        rows, cols = values.shape
+        text = description.format(rows=rows, cols=cols, config=config, result=result)
+        lines.append(f"wrote {path} ({text})")
+    if config.prior is not None:
         path = config.out_dir / "summary.json"
         _write_text(path, _summary_text(config, result))
         lines.append(f"wrote {path}")
     return lines
 
 
-def _write_pmn(path: Path, config: RunConfig, result: _Result) -> str:
-    matrix = result.matrix
-    cells = [[_fmt(v) for v in row] for row in matrix.entries]
-    _write_table(path, config.format, "m", "n", cells)
-    return f"wrote {path} (P(m|n), {matrix.m_max + 1} x {matrix.n_max + 1})"
-
-
-def _write_pn(path: Path, config: RunConfig, result: _Result) -> str:
-    prior = result.prior
-    cells = [[_fmt(v)] for v in prior.probs]
-    _write_table(path, config.format, "n", None, cells, value_names=["P(n)"])
-    return f"wrote {path} ({prior.label}, {len(prior.probs)} entries)"
-
-
-def _write_pnm(path: Path, config: RunConfig, result: _Result) -> str:
-    post = result.post
-    cells = [
-        [_fmt(post.entries[n, m]) if post.defined[m] else UNDEFINED for m in range(post.m_max + 1)]
-        for n in range(post.n_max + 1)
-    ]
-    _write_table(path, config.format, "n", "m", cells)
-    return f"wrote {path} (P(n|m), {post.n_max + 1} x {post.m_max + 1})"
-
-
-def _write_optmap(path: Path, config: RunConfig, result: _Result) -> str:
-    report = result.report
-    cells = [
-        [str(int(report.map[m])) if report.defined[m] else UNDEFINED]
-        for m in range(report.m_max + 1)
-    ]
-    _write_table(path, config.format, "m", None, cells, value_names=["m_opt"])
-    return f"wrote {path} (optimisation map, {report.m_max + 1} signatures)"
-
-
-def _write_fidelity(path: Path, config: RunConfig, result: _Result) -> str:
-    report = result.report
-    cells = []
-    for m in range(report.m_max + 1):
-        if report.defined[m]:
-            cells.append(
-                [
-                    _fmt(report.outcome_marginal[m]),
-                    _fmt(report.fidelity_raw[m]),
-                    _fmt(report.fidelity_opt[m]),
-                ]
-            )
-        else:
-            cells.append([_fmt(0.0), UNDEFINED, UNDEFINED])
-    _write_table(path, config.format, "m", None, cells, value_names=["P(m)", "F_raw", "F_opt"])
-    return f"wrote {path} (fidelities, {report.m_max + 1} signatures)"
-
-
-def _write_simulate(path: Path, config: RunConfig, result: _Result) -> str:
-    columns = result.empirical
-    depth = max(len(c.counts) for c in columns)
-    cells = [
-        [str(int(c.counts[m]) if m < len(c.counts) else 0) for c in columns]
-        for m in range(depth)
-    ]
-    _write_table(path, config.format, "m", "n", cells)
-    return f"wrote {path} (empirical counts, seed={config.seed}, shots={config.shots})"
-
-
-_FILE_STEMS = {
-    "pmn": "pmn",
-    "pn": "pn",
-    "pnm": "pnm",
-    "optmap": "optmap",
-    "fidelity": "fidelity",
-    "simulate": "empirical_pmn",
-}
-
-_WRITERS = {
-    "pmn": _write_pmn,
-    "pn": _write_pn,
-    "pnm": _write_pnm,
-    "optmap": _write_optmap,
-    "fidelity": _write_fidelity,
-    "simulate": _write_simulate,
-}
-
-
-def _write_table(path, fmt, row_name, col_name, cells, value_names=None):
-    """Rectangular data with a leading row-index column.
-
-    Column headers are the column indices when col_name is given, the
-    explicit value_names otherwise. CSV cells hold 12-significant-digit
-    renderings or the `undefined` marker; the JSON variant carries the
-    same strings as numbers or null.
-    """
+def _write_table(path, fmt, row_name, columns, cells):
+    """Rectangular data with a leading row-index column; JSON writes `undefined` as null."""
     width = len(cells[0]) if cells else 0
-    header = [str(i) for i in range(width)] if col_name is not None else list(value_names)
+    indexed = isinstance(columns, str)
+    header = [str(i) for i in range(width)] if indexed else list(columns)
     if fmt == "csv":
         rows = [",".join([row_name] + header)]
         rows += [",".join([str(i)] + row) for i, row in enumerate(cells)]
@@ -451,19 +362,10 @@ def _write_table(path, fmt, row_name, col_name, cells, value_names=None):
     else:
         doc = {
             "row_index": row_name,
-            "columns": [col_name + str(i) for i in range(width)] if col_name is not None else header,
-            "values": [[_cell_to_json(c) for c in row] for row in cells],
+            "columns": [columns + str(i) for i in range(width)] if indexed else header,
+            "values": [[None if c == UNDEFINED else json.loads(c) for c in row] for row in cells],
         }
         _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _cell_to_json(cell: str):
-    if cell == UNDEFINED:
-        return None
-    try:
-        return int(cell)
-    except ValueError:
-        return float(cell)
 
 
 def _summary_text(config: RunConfig, result: _Result) -> str:
@@ -476,10 +378,10 @@ def _summary_text(config: RunConfig, result: _Result) -> str:
         "tail_epsilon": float(config.detector.tail_epsilon),
         "n_max": config.n_max,
         "m_max": result.matrix.m_max,
-        "prior": result.prior.label,
-        "prior_spec": config.prior_spec.text,
-        "seed": config.seed,
-        "shots": config.shots,
+        "prior": config.prior.label,
+        "prior_spec": config.prior_spec,
+        "seed": config.shot_config.seed,
+        "shots": config.shot_config.shots,
         "avg_fidelity_raw": float(_fmt(report.avg_fidelity_raw)),
         "avg_fidelity_opt": float(_fmt(report.avg_fidelity_opt)),
         "undefined_outcomes": np.flatnonzero(~report.defined).tolist(),

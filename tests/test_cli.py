@@ -1,17 +1,23 @@
-"""End-to-end CLI tests run through a real subprocess."""
+"""End-to-end CLI tests, run through a real subprocess or in-process `cli.main`."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from countfix import cli
 from countfix.detector import DetectorParams, build_matrix
 from countfix.montecarlo import ShotConfig, empirical_matrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, cwd=None):
@@ -20,7 +26,20 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=120,
     )
+
+
+@dataclass(frozen=True)
+class JsonFile:
+    """An argv item standing for `prefix` plus the path of a file holding `doc` as JSON."""
+
+    doc: object
+    prefix: str = ""
+
+    def write(self, path):
+        path.write_text(json.dumps(self.doc), encoding="utf-8")
+        return self.prefix + str(path)
 
 
 def read_csv(path):
@@ -257,9 +276,23 @@ def test_concurrent_simulations_are_byte_identical(tmp_path):
         (["run", "--prior", "pdc:0.5", "--shots", "0"], "--shots"),
         (["run", "--prior", "pdc:0.5", "--seed", "-3"], "--seed"),
         (["simulate", "--shots", "-5"], "--shots"),
+        (["run", "--lambda", "inf", "--prior", "pdc:0.5"], "--lambda"),
+        (["run", "--config", JsonFile({"lambda": "inf", "prior": "pdc:0.5"})], "--lambda"),
+        (["run", "--config", JsonFile({"out": None, "prior": "pdc:0.5"})], "--out"),
+        (["run", "--config", JsonFile({"out": 5, "prior": "pdc:0.5"})], "--out"),
+        (["run", "--config", JsonFile({"n_max": True, "prior": "pdc:0.5"})], "--n-max"),
+        (["run", "--prior", JsonFile([True, 1], prefix="custom:")], "--prior"),
+        (["run", "--n-max", "100000", "--prior", "pdc:0.5"], "--n-max"),
+        (["run", "--n-max", "-3000", "--prior", "pdc:0.5"], "--n-max: n_max must be >= 0"),
+        (["run", "--lambda", "1e300", "--prior", "pdc:0.5"], "--lambda"),
     ],
 )
 def test_usage_errors_exit_2(args, fragment, tmp_path):
+    # JsonFile items, such as config files, are written out before the run
+    args = [
+        a.write(tmp_path / f"arg{i}.json") if isinstance(a, JsonFile) else a
+        for i, a in enumerate(args)
+    ]
     res = run_cli(*args, "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert fragment in res.stderr
@@ -282,3 +315,101 @@ def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0
     assert "countfix" in res.stdout
+
+
+def test_reproduce_figures_rewrites_results_byte_for_byte(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_figures", ROOT / "scripts" / "reproduce_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "RESULTS", tmp_path)
+    script.main_script()
+    committed = sorted(p.relative_to(ROOT / "results") for p in (ROOT / "results").rglob("*"))
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == committed
+    assert len([p for p in committed if len(p.parts) == 1]) == 16
+    for rel in committed:
+        if (tmp_path / rel).is_file():
+            assert (tmp_path / rel).read_bytes() == (ROOT / "results" / rel).read_bytes(), rel
+
+
+# The argv fuzz test starts from a small valid run and overrides some flags.
+# Each override is usually well-formed, keeping accepted runs small (n_max <=
+# 30, shots <= 1000, lambda <= 20); otherwise it is malformed or out of range,
+# down to sizes that must be refused before any work. A huge shot count is
+# accepted and then runs practically forever, so `--shots` and the config
+# `shots` key draw no huge values.
+_BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "1e300", "10" * 20, "abc", "", "0x10", "1.5"]
+_BAD_SHOTS = ["0", "-1", "abc", "1.5", "nan"]
+
+
+def _flag_value(good, *bad, numbers=_BAD_NUMBERS):
+    return st.one_of(good, good, good, st.sampled_from(numbers + list(bad)))
+
+
+_FUZZ_FLAGS = {
+    "--p-loss": _flag_value(st.floats(0, 1).map(repr), "1.01"),
+    "--lambda": _flag_value(st.floats(0, 20).map(repr)),
+    "--tail-eps": _flag_value(st.sampled_from(["1e-10", "0.5", "1e-300"]), "0", "1"),
+    "--n-max": _flag_value(st.integers(0, 30).map(str), "100000", "-3", "-3000"),
+    "--seed": _flag_value(st.integers(0, 2**64 - 1).map(str), str(2**64)),
+    "--shots": _flag_value(st.integers(1, 1000).map(str), numbers=_BAD_SHOTS),
+    "--format": _flag_value(st.sampled_from(["csv", "json"]), "xml"),
+    "--emit": _flag_value(st.sampled_from(["pmn", "pn,pnm,optmap", "fidelity,simulate"]), ",", "bogus"),
+    "--prior": _flag_value(
+        st.sampled_from(["pdc:0.5", "pdc:0", "uniform:0:9", "uniform:2:30"]),
+        "pdc:1.2", "pdc:", "uniform:5:2", "uniform:-1:3", "uniform:0:40", "uniform:0:" + "9" * 30,
+        "custom:/does/not/exist.json", "bogus",
+    ),
+}
+_BAD_JSON = [0, 5, -1, 1.5, float("nan"), float("inf"), "abc", "inf", "1e300", [], [1], {}, {"a": 1}]
+_JSON_VALUES = st.none() | st.booleans() | st.sampled_from(_BAD_JSON + [2**70])
+_SHOTS_JSON_VALUES = st.none() | st.booleans() | st.sampled_from(_BAD_JSON)
+_CONFIG_VALUES = {
+    "p_loss": st.floats(0, 1),
+    "lambda": st.floats(0, 20),
+    "tail_eps": st.sampled_from([1e-10, 0.5, "1e-10"]),
+    "n_max": st.integers(0, 30),
+    "prior": st.sampled_from(["pdc:0.7", "uniform:0:9"]),
+    "emit": st.sampled_from(["pmn,optmap", "simulate"]),
+    "format": st.sampled_from(["csv", "json"]),
+    "out": st.just("ignored"),
+    "seed": st.integers(0, 2**64 - 1),
+    "shots": st.integers(1, 1000),
+}
+_WEIGHTS = st.lists(st.floats(0, 10) | _JSON_VALUES, max_size=4) | _JSON_VALUES
+
+
+@st.composite
+def _argv(draw, tmp_dir):
+    command = draw(st.sampled_from(["run", "simulate"]))
+    argv = [command, "--n-max", "8", "--shots", "200"]
+    if command == "run":
+        argv += ["--prior", "pdc:0.5"]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FUZZ_FLAGS)), unique=True, max_size=4)):
+        if command == "run" or flag not in ("--prior", "--emit"):
+            argv += [flag, draw(_FUZZ_FLAGS[flag])]
+    if command == "run" and draw(st.integers(0, 4)) == 0:
+        weights = tmp_dir / "weights.json"
+        weights.write_text(json.dumps(draw(_WEIGHTS)), encoding="utf-8")
+        argv += ["--prior", f"custom:{weights}"]
+    if draw(st.integers(0, 2)) == 0:
+        keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES) + ["bogus"]), unique=True, max_size=3))
+        doc = {}
+        for key in keys:
+            bad = _SHOTS_JSON_VALUES if key == "shots" else _JSON_VALUES
+            doc[key] = draw(_CONFIG_VALUES.get(key, bad) | bad)
+        config = tmp_dir / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--config", str(config)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_0_2_or_3(data, tmp_path, capsys):
+    argv = data.draw(_argv(tmp_path))
+    code = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert code in (0, 2, 3), argv
+    err = capsys.readouterr().err
+    if code == 2 and "usage:" not in err:
+        assert "--" in err, err
