@@ -8,7 +8,8 @@
 only runs the seeded Monte Carlo and writes the empirical count matrix.
 Flags override values from an optional --config JSON file. All outputs are
 plain rectangular data rendered at 12 significant digits and are
-byte-deterministic for a fixed configuration.
+byte-deterministic for a fixed configuration. Each file is written whole or
+not at all: a failed write leaves the previous file in place.
 
 This module only converts text to the types the library takes; the library
 constructors check the ranges. Exit codes: 0 success, 2 usage or validation
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -391,8 +393,15 @@ def _summary_text(config: RunConfig, result: _Result) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write a temporary file beside `path` and rename it onto `path`; remove it on failure."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 if __name__ == "__main__":

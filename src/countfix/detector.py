@@ -12,7 +12,10 @@ with the binomial coefficient taken as zero outside 0 <= m-d <= n, which
 makes the sum over d finite and exact. Every term is evaluated in the log
 domain via log-gamma so large factorials neither overflow nor round to
 spurious zeros, and 0**0 is treated as 1 so the p_loss = 0 and p_loss = 1
-edge cases come out exact.
+edge cases come out exact. The terms of an entry are added in a fixed order,
+by increasing number of survivors s = m - d, so an entry's value does not
+depend on the size of the matrix it is computed in; build_matrix and
+conditional_prob share that one array computation.
 
 All functions here are pure; built matrices are immutable and safe to share
 across threads.
@@ -25,7 +28,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "DetectorParams",
@@ -117,14 +119,13 @@ def poisson_pmf(lam: float, d: int) -> float:
 def conditional_prob(params: DetectorParams, m: int, n: int) -> float:
     """P(m|n): probability of measuring m counts given n incident photons.
 
-    Exact finite sum over the number of dark counts d from max(0, m-n)
-    to m; equivalently over the number of surviving photons s = m - d.
+    Finite sum over the number of surviving photons s from 0 to min(m, n),
+    read off the same computation build_matrix runs, so the two agree bit
+    for bit.
     """
     m = _check_count(m, "m")
     n = _check_count(n, "n")
-    binom = _survivor_pmf(n, params.p_loss)
-    pois = np.array([poisson_pmf(params.lam, m - s) for s in range(min(n, m) + 1)])
-    return _entry(m, binom, pois_by_survivors=pois)
+    return float(_response(params, n, max(m, n))[m, n])
 
 
 def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
@@ -133,18 +134,13 @@ def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
     The measured range is truncated at m_max = n_max + q, where q is the
     smallest integer whose Poisson(lam) tail mass beyond it is at most
     tail_epsilon; every column then retains at least 1 - tail_epsilon of
-    its mass. Entries are bit-identical to conditional_prob.
+    its mass. Each entry adds its terms in increasing survivor count, so
+    its value does not depend on n_max or m_max, and it equals
+    conditional_prob bit for bit.
     """
     n_max = _check_count(n_max, "n_max")
     m_max = n_max + _poisson_tail_quantile(params.lam, params.tail_epsilon)
-    pois = np.array([poisson_pmf(params.lam, d) for d in range(m_max + 1)])
-    entries = np.zeros((m_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        binom = _survivor_pmf(n, params.p_loss)
-        for m in range(m_max + 1):
-            s_top = min(n, m)
-            entries[m, n] = _entry(m, binom[: s_top + 1], pois[m - s_top : m + 1][::-1])
-    return ConditionalMatrix(n_max=n_max, m_max=m_max, entries=entries)
+    return ConditionalMatrix(n_max=n_max, m_max=m_max, entries=_response(params, n_max, m_max))
 
 
 def _check_count(value, name: str) -> int:
@@ -157,43 +153,44 @@ def _check_count(value, name: str) -> int:
     return value
 
 
-def _binomial_pmf(k: int, n: int, q: float) -> float:
-    """C(n,k) q^k (1-q)^(n-k) with the 0**0 = 1 convention, 0 outside 0..n."""
-    if k < 0 or k > n:
-        return 0.0
-    if q == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if q == 1.0:
-        return 1.0 if k == n else 0.0
-    log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    return math.exp(log_comb + k * math.log(q) + (n - k) * math.log1p(-q))
+def _response(params: DetectorParams, n_max: int, m_max: int) -> np.ndarray:
+    """entries[m, n] = sum over s of pois(m - s) * B[s, n], added in increasing s.
+
+    B[s, n] = C(n, s) q^s (1-q)^(n-s) is the probability that s of n photons
+    survive, with q = 1 - p_loss.
+    """
+    q = 1.0 - params.p_loss
+    s, n = np.ogrid[: n_max + 1, : n_max + 1]
+    if q == 0.0:  # 0**0 = 1: every photon is lost
+        survivors = np.zeros((n_max + 1, n_max + 1))
+        survivors[0] = 1.0
+    elif q == 1.0:  # 0**0 = 1: every photon survives
+        survivors = np.eye(n_max + 1)
+    else:
+        log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+        lost = np.maximum(n - s, 0)  # clipped where s > n, a part never read
+        log_comb = log_fact[n] - log_fact[s] - log_fact[lost]
+        survivors = np.exp(log_comb + s * math.log(q) + lost * math.log1p(-q))
+    pois = _poisson_pmfs(params.lam, range(m_max + 1))
+    entries = np.zeros((m_max + 1, n_max + 1))
+    for k in range(min(n_max, m_max) + 1):  # the terms where k photons survive
+        entries[k:, k:] += pois[: m_max + 1 - k, np.newaxis] * survivors[k, k:]
+    return entries
 
 
-def _survivor_pmf(n: int, p_loss: float) -> np.ndarray:
-    """Distribution of the number of photons (0..n) that survive the loss."""
-    return np.array([_binomial_pmf(s, n, 1.0 - p_loss) for s in range(n + 1)])
-
-
-def _entry(m: int, binom: np.ndarray, pois_by_survivors: np.ndarray) -> float:
-    # pois_by_survivors[s] = pois(m - s); fsum keeps the result correctly
-    # rounded and independent of term count.
-    s_top = min(len(binom), len(pois_by_survivors)) - 1
-    return math.fsum(binom[s] * pois_by_survivors[s] for s in range(s_top + 1))
+def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:
+    """poisson_pmf(lam, d) for each d in counts."""
+    return np.array([poisson_pmf(lam, d) for d in counts])
 
 
 def _poisson_tail_quantile(lam: float, epsilon: float) -> int:
     """Smallest q with P(D > q) <= epsilon for D ~ Poisson(lam)."""
-    if lam == 0.0:
-        return 0
-    q = max(0, int(lam) - 1)
-    while _poisson_tail(lam, q) > epsilon:
-        q += 1
-    while q > 0 and _poisson_tail(lam, q - 1) <= epsilon:
-        q -= 1
-    return q
-
-
-def _poisson_tail(lam: float, q: int) -> float:
-    # P(D > q) equals the lower regularized incomplete gamma P(q+1, lam),
-    # which stays accurate far below float cancellation limits.
-    return float(special.gammainc(q + 1, lam))
+    # Past 40 standard deviations (plus a margin for small lam) from the mean
+    # the pmf is below about e^-700, so the mass outside the table is far
+    # below any epsilon and P(D > lo) rounds to 1. Summing downward from the
+    # far tail adds the smallest terms first.
+    width = 40.0 * math.sqrt(lam) + 200.0
+    lo, hi = max(0, math.floor(lam - width)), math.ceil(lam + width)
+    pmf = _poisson_pmfs(lam, range(lo, hi + 1))
+    tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[i] = P(lo + i < D <= hi)
+    return lo + int(np.count_nonzero(tail > epsilon))

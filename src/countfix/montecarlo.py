@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector import DetectorParams, _poisson_tail_quantile, poisson_pmf
+from .detector import DetectorParams, _poisson_pmfs, _poisson_tail_quantile
 from .priors import NumberPrior
 
 __all__ = [
@@ -176,6 +176,6 @@ def _dark_draw(u: np.ndarray, lam: float) -> np.ndarray:
 def _poisson_cdf(lam: float) -> np.ndarray:
     """Cumulative Poisson(lam) table up to the 1 - 1e-12 quantile."""
     top = _poisson_tail_quantile(lam, _POISSON_TABLE_TAIL)
-    table = np.cumsum([poisson_pmf(lam, d) for d in range(top + 1)])
+    table = np.cumsum(_poisson_pmfs(lam, range(top + 1)))
     table.setflags(write=False)
     return table

@@ -5,12 +5,14 @@ measuring m counts given n incident photons is computed here by exhaustive
 enumeration over (photons lost, dark counts) with plain float arithmetic,
 and alternatively by convolving scipy's binomial and Poisson pmfs. Both
 paths are deliberately different from the library's log-gamma evaluation.
+The dark-count truncation depth is found by a search on scipy's regularized
+incomplete gamma function rather than on a table of pmf values.
 """
 
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 # A column argmax counts as tied when a competitor is within this relative
 # distance of the maximum; ties resolve toward the smaller photon number.
@@ -36,6 +38,24 @@ def conv_column(p_loss: float, lam: float, n: int, m_max: int) -> np.ndarray:
     surv = stats.binom.pmf(np.arange(n + 1), n, 1.0 - p_loss)
     dark = stats.poisson.pmf(np.arange(m_max + 1), lam)
     return np.convolve(surv, dark)[: m_max + 1]
+
+
+def poisson_tail_quantile(lam: float, epsilon: float) -> int:
+    """Smallest q with P(D > q) <= epsilon for D ~ Poisson(lam)."""
+    if lam == 0.0:
+        return 0
+    q = max(0, int(lam) - 1)
+    while _poisson_tail(lam, q) > epsilon:
+        q += 1
+    while q > 0 and _poisson_tail(lam, q - 1) <= epsilon:
+        q -= 1
+    return q
+
+
+def _poisson_tail(lam: float, q: int) -> float:
+    # P(D > q) equals the lower regularized incomplete gamma P(q+1, lam),
+    # which stays accurate far below float cancellation limits.
+    return float(special.gammainc(q + 1, lam))
 
 
 def enum_matrix(p_loss: float, lam: float, n_max: int, m_max: int) -> np.ndarray:

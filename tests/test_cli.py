@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -309,6 +310,37 @@ def test_unwritable_output_exits_3(tmp_path):
     res = run_cli("run", "--prior", "pdc:0.5", "--out", str(blocker))
     assert res.returncode == 3
     assert "output directory" in res.stderr
+
+
+def test_failed_rewrite_keeps_the_old_artifact(tmp_path):
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "out"
+    args = ["run", "--p-loss", "0.3", "--lambda", "0.7", "--prior", "pdc:0.5",
+            "--emit", "pmn", "--out", str(out)]
+    assert run_cli(*args).returncode == 0
+    good = (out / "pmn.csv").read_bytes()
+    # the rerun may write at most half of pmn.csv to any file, so it fails mid-file
+    limit = len(good) // 2
+    res = subprocess.run(
+        [sys.executable, "-m", "countfix", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert res.returncode == 3
+    assert "write failed" in res.stderr
+    assert (out / "pmn.csv").read_bytes() == good
+    assert sorted(p.name for p in out.iterdir()) == ["pmn.csv", "summary.json"]
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import countfix, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_version_flag():

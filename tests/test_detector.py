@@ -14,9 +14,10 @@ from countfix.detector import (
     DetectorParams,
     build_matrix,
     conditional_prob,
+    _poisson_tail_quantile,
     poisson_pmf,
 )
-from oracles import conv_column, enum_conditional
+from oracles import conv_column, enum_conditional, poisson_tail_quantile
 
 # smallest q with P(Poisson(lam) > q) <= 1e-10, checked against scipy
 EXPECTED_QUANTILES = {0.0: 0, 0.5: 10, 1.0: 12, 2.0: 16, 5.0: 25, 10.0: 36}
@@ -115,6 +116,12 @@ def test_tightening_tail_never_shrinks_matrix():
     assert depths[0] < depths[-1]
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.5, 1.0, 5.0, 10.0, 100.0, 800.0, 1e3, 1e4])
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-10, 1e-12, 1e-15])
+def test_tail_quantile_matches_incomplete_gamma_search(lam, epsilon):
+    assert _poisson_tail_quantile(lam, epsilon) == poisson_tail_quantile(lam, epsilon)
+
+
 def test_matrix_row_depth_uses_frozen_dark_quantiles():
     for lam, q in EXPECTED_QUANTILES.items():
         mat = build_matrix(DetectorParams(p_loss=0.2, lam=lam), 0)
@@ -133,16 +140,20 @@ def test_matrix_total_loss_concentrates_at_zero():
     assert np.all(mat.entries[1:] == 0.0)
 
 
-def test_matrix_entries_match_scalar_evaluation_bitwise():
-    params = DetectorParams(p_loss=0.35, lam=1.3)
+# (0, 0.8) and (1, 1.7) reach the exact no-loss and total-loss branches, and
+# (0.99, 800) the dark-count-swamped regime with a deep m range.
+@pytest.mark.parametrize("p_loss, lam", [(0.35, 1.3), (0.0, 0.8), (1.0, 1.7), (0.99, 800.0)])
+def test_matrix_entries_match_scalar_evaluation_bitwise(p_loss, lam):
+    params = DetectorParams(p_loss=p_loss, lam=lam)
     mat = build_matrix(params, 6)
     for n in range(7):
         for m in range(mat.m_max + 1):
             assert mat.entries[m, n] == conditional_prob(params, m, n)
 
 
-def test_matrix_grows_consistently_with_n_max():
-    params = DetectorParams(p_loss=0.4, lam=2.0)
+@pytest.mark.parametrize("p_loss, lam", [(0.4, 2.0), (0.0, 0.8), (1.0, 1.7), (0.99, 800.0)])
+def test_matrix_grows_consistently_with_n_max(p_loss, lam):
+    params = DetectorParams(p_loss=p_loss, lam=lam)
     small = build_matrix(params, 6)
     large = build_matrix(params, 9)
     np.testing.assert_array_equal(
