@@ -20,11 +20,10 @@ from .montecarlo import (
     empirical_joint,
     empirical_matrix,
     joint_stream,
-    sample_shot,
 )
 from .priors import NumberPrior, custom_prior, pdc_prior, uniform_prior
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ConditionalMatrix",
@@ -45,7 +44,6 @@ __all__ = [
     "pdc_prior",
     "poisson_pmf",
     "posterior",
-    "sample_shot",
     "uniform_prior",
     "__version__",
 ]

@@ -62,6 +62,10 @@ _RUN_ONLY = ("prior", "emit")
 # prior. The largest configuration in use (n_max 300, lambda 5) needs 0.74 MB.
 MAX_ARRAY_BYTES = 2**25
 
+# Most shots a simulating run may take over all its columns, shots * (n_max + 1):
+# about 850 times the default run (10**6 shots, n_max 19).
+MAX_SHOTS = 2**34
+
 UNDEFINED = "undefined"
 
 
@@ -113,6 +117,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     n_max = values["n_max"]
     rows = max(n_max, 0) + 1
     _check_size("--n-max, --lambda", rows * (rows + math.ceil(detector.lam)) * 8)
+    if "simulate" in outputs and shot_config.shots * rows > MAX_SHOTS:
+        raise UsageError(f"--shots, --n-max: shots * (n_max + 1) must be at most {MAX_SHOTS}")
     prior = None if values["prior"] is None else _parse_prior(values["prior"], n_max)
     return RunConfig(
         detector=detector,

@@ -137,23 +137,16 @@ def optimisation_map(post: PosteriorMatrix) -> OptimisationReport:
     number. Undefined outcomes get map -1 and NaN fidelities and are left
     out of the averages.
     """
-    n_top = post.n_max
-    m_top = post.m_max
-    mapped = np.full(m_top + 1, -1, dtype=int)
-    f_raw = np.full(m_top + 1, np.nan)
-    f_opt = np.full(m_top + 1, np.nan)
-    tie = np.zeros(m_top + 1, dtype=bool)
-    for m in range(m_top + 1):
-        if not post.defined[m]:
-            continue
-        col = post.entries[:, m]
-        top = col.max()
-        tied = np.flatnonzero(col >= top * (1.0 - TIE_RTOL))
-        mapped[m] = int(tied[0])
-        tie[m] = len(tied) > 1
-        f_opt[m] = top
-        f_raw[m] = col[m] if m <= n_top else 0.0
     dfn = post.defined
+    top = post.entries.max(axis=0)  # undefined columns are all zero
+    tied = post.entries >= top * (1.0 - TIE_RTOL)
+    raw = np.zeros(post.m_max + 1)  # P(n=m | m), 0 where m > n_max
+    diagonal = np.diagonal(post.entries)
+    raw[: len(diagonal)] = diagonal
+    mapped = np.where(dfn, tied.argmax(axis=0), -1)
+    tie = dfn & (tied.sum(axis=0) > 1)
+    f_opt = np.where(dfn, top, np.nan)
+    f_raw = np.where(dfn, raw, np.nan)
     weights = post.outcome_marginal[dfn]
     return OptimisationReport(
         map=mapped,

@@ -2,7 +2,8 @@
 
 Serves as the independent statistical oracle for the analytic pipeline: a
 shot with n incident photons draws Binomial(n, 1 - p_loss) survivors plus a
-Poisson(lam) number of dark counts.
+Poisson(lam) number of dark counts. The sampler builds its own probability
+tables and shares no code with countfix.detector, whose results it checks.
 
 Reproducibility contract. All randomness comes from the Philox 4x64
 counter-based generator (numpy's ``Philox`` bit generator, a published,
@@ -10,24 +11,28 @@ platform-independent algorithm). The 64-bit seed is used directly as the
 Philox key, and disjoint substreams are carved out of the 256-bit counter
 space: the conditional-column stream for incident number n starts at
 counter (0 << 192) | (n << 128), the joint prior-then-detector stream at
-(1 << 192). Within a stream, shot i reads a fixed slice of uniforms (shot
-times draws-per-shot offset), so histograms are bit-identical for a given
-(seed, params, shots) no matter how shots are batched or parallelized.
-Histogram merging is plain summation: associative and commutative.
+(1 << 192). Shot i of a stream reads row i of a (shots, width) block of
+uniforms, so histograms are bit-identical for a given (seed, params, shots)
+no matter how shots are batched or parallelized. A column shot reads 2
+uniforms: the survivor count, then the dark count. A joint shot reads 3:
+the incident number from the prior, then the same two. Histogram merging is
+plain summation: associative and commutative. These layouts date from
+version 0.2.0; 0.1.0 read one uniform per photon, so its histograms differ.
 
-Poisson dark counts are drawn by inverse CDF from a table truncated at the
-1 - 1e-12 quantile (rates up to about 1e3 are supported); binomial survival
-is drawn as independent per-photon Bernoulli comparisons.
+Every draw is an inverse-CDF lookup. The binomial and Poisson tables are
+built once per sampler call from the log-ratio recurrence of their pmfs, so
+no p_loss**n underflows; the Poisson table is cut at its 1 - 1e-12 quantile,
+and the mass beyond the cut goes to the last entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .detector import DetectorParams, _poisson_pmfs, _poisson_tail_quantile
+from .detector import DetectorParams
 from .priors import NumberPrior
 
 __all__ = [
@@ -35,7 +40,6 @@ __all__ = [
     "EmpiricalColumn",
     "column_stream",
     "joint_stream",
-    "sample_shot",
     "empirical_matrix",
     "empirical_joint",
 ]
@@ -92,19 +96,6 @@ def joint_stream(seed: int) -> np.random.Generator:
     return _stream(seed, _JOINT_NAMESPACE, 0)
 
 
-def sample_shot(params: DetectorParams, n: int, rng: np.random.Generator) -> int:
-    """Measured count for one shot with n incident photons.
-
-    Consumes exactly n + 1 uniforms from rng: one survival comparison per
-    photon, then one inverse-CDF dark-count draw.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    u = rng.random(n + 1)
-    survivors = int(np.count_nonzero(u[:n] < 1.0 - params.p_loss))
-    return survivors + int(_dark_draw(u[n:], params.lam)[0])
-
-
 def empirical_matrix(config: ShotConfig, n_max: int, chunk_size: int = 65536) -> list[EmpiricalColumn]:
     """Simulate `shots` shots for each incident n in 0..n_max.
 
@@ -113,19 +104,13 @@ def empirical_matrix(config: ShotConfig, n_max: int, chunk_size: int = 65536) ->
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    table = _poisson_cdf(config.params.lam)
-    survive = 1.0 - config.params.p_loss
+    survivors = _binomial_cdfs(1.0 - config.params.p_loss, n_max)
+    dark = _poisson_cdf(config.params.lam)
     columns = []
     for n in range(n_max + 1):
-        rng = column_stream(config.seed, n)
-        counts = np.zeros(n + len(table), dtype=np.int64)
-        remaining = config.shots
-        while remaining:
-            k = min(chunk_size, remaining)
-            u = rng.random((k, n + 1))
-            m = (u[:, :n] < survive).sum(axis=1) + _dark_draw(u[:, n], config.params.lam)
+        counts = np.zeros(n + len(dark), dtype=np.int64)
+        for _, m in _shots(column_stream(config.seed, n), config.shots, chunk_size, survivors, dark, n):
             counts += np.bincount(m, minlength=len(counts))
-            remaining -= k
         columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
     return columns
 
@@ -135,29 +120,16 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65
 
     Returns an int64 array counts[n, m]. Conditioning a column of this
     histogram on its total reproduces the Bayes posterior P(n|m)
-    empirically. Each shot reads a fixed-width slice of the joint
-    substream (one prior draw, one survival slot per possible photon, one
-    dark-count draw), so results do not depend on batching.
+    empirically. chunk_size only bounds memory; it never changes the result.
     """
-    probs = prior.probs
-    n_top = len(probs) - 1
-    prior_cdf = np.cumsum(probs)
-    table = _poisson_cdf(config.params.lam)
-    survive = 1.0 - config.params.p_loss
-    counts = np.zeros((n_top + 1, n_top + len(table)), dtype=np.int64)
-    slots = np.arange(n_top)
-    rng = joint_stream(config.seed)
-    remaining = config.shots
-    while remaining:
-        k = min(chunk_size, remaining)
-        u = rng.random((k, n_top + 2))
-        n = np.searchsorted(prior_cdf, u[:, 0], side="right")
-        np.clip(n, 0, n_top, out=n)
-        survivors = ((u[:, 1 : n_top + 1] < survive) & (slots < n[:, np.newaxis])).sum(axis=1)
-        m = survivors + _dark_draw(u[:, n_top + 1], config.params.lam)
-        flat = np.bincount(n * counts.shape[1] + m, minlength=counts.size)
-        counts += flat.reshape(counts.shape)
-        remaining -= k
+    n_top = len(prior.probs) - 1
+    survivors = _binomial_cdfs(1.0 - config.params.p_loss, n_top)
+    dark = _poisson_cdf(config.params.lam)
+    prior_cdf = np.cumsum(prior.probs)
+    prior_cdf[-1] = 1.0  # like every table here, so no draw passes n_top
+    counts = np.zeros((n_top + 1, n_top + len(dark)), dtype=np.int64)
+    for n, m in _shots(joint_stream(config.seed), config.shots, chunk_size, survivors, dark, prior_cdf):
+        counts += np.bincount(n * counts.shape[1] + m, minlength=counts.size).reshape(counts.shape)
     return counts
 
 
@@ -166,16 +138,60 @@ def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def _dark_draw(u: np.ndarray, lam: float) -> np.ndarray:
-    table = _poisson_cdf(lam)
-    draws = np.searchsorted(table, u, side="right")
-    return np.minimum(draws, len(table) - 1)
+def _shots(rng, shots: int, chunk_size: int, survivors: np.ndarray, dark: np.ndarray,
+           incident: int | np.ndarray):
+    """Yield the incident and measured counts of `shots` shots, chunk by chunk.
+
+    `incident` is the photon number of every shot (2 uniforms a shot), or
+    the prior's CDF to draw it from with a shot's first uniform (3 uniforms
+    a shot). The last two uniforms of a shot draw its survivors from row n
+    of `survivors` and its dark counts from `dark`.
+    """
+    width = 2 if np.ndim(incident) == 0 else 3
+    for start in range(0, shots, chunk_size):
+        u = rng.random((min(chunk_size, shots - start), width))
+        n = incident if width == 2 else _inverse_cdf(incident, 0, u[:, 0])
+        yield n, _inverse_cdf(survivors, n, u[:, -2]) + _inverse_cdf(dark, 0, u[:, -1])
 
 
-@lru_cache(maxsize=64)
+def _inverse_cdf(cdfs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """Per shot, the number of entries of its CDF row cdfs[rows] at or below u.
+
+    Every row ends in 1 > u, so a draw never passes its row's last entry.
+    One binary search runs for all shots at once; rows is an index into a
+    2-d table (scalar or one per shot), or 0 for a 1-d table.
+    """
+    last = cdfs.shape[-1] - 1
+    flat = cdfs.ravel()
+    base = rows * cdfs.shape[-1]
+    drawn = np.zeros(len(u), dtype=np.intp)
+    step = (1 << last.bit_length()) >> 1  # the largest power of two <= last, or 0
+    while step:
+        drawn += step * (flat[base + np.minimum(drawn + step - 1, last)] <= u)
+        step >>= 1
+    return drawn
+
+
+def _binomial_cdfs(q: float, n_max: int) -> np.ndarray:
+    """cdfs[n, s] = P(S <= s) for S ~ Binomial(n, q), set to 1 from s = n on."""
+    n, s = np.ogrid[: n_max + 1, : n_max + 1]
+    if q in (0.0, 1.0):  # every photon is lost, or every photon survives
+        return np.where(s >= n * q, 1.0, 0.0)
+    # log pmf(s) - log pmf(s - 1) for 1 <= s <= n; log pmf(0) = n log(1 - q)
+    ratios = np.log(np.maximum(n - s + 1, 1) / np.maximum(s, 1)) + math.log(q / (1.0 - q))
+    log_pmf = n * math.log1p(-q) + np.cumsum(np.where((s >= 1) & (s <= n), ratios, 0.0), axis=1)
+    return np.where(s >= n, 1.0, np.cumsum(np.exp(log_pmf), axis=1))
+
+
 def _poisson_cdf(lam: float) -> np.ndarray:
-    """Cumulative Poisson(lam) table up to the 1 - 1e-12 quantile."""
-    top = _poisson_tail_quantile(lam, _POISSON_TABLE_TAIL)
-    table = np.cumsum(_poisson_pmfs(lam, range(top + 1)))
-    table.setflags(write=False)
-    return table
+    """P(D <= d) for D ~ Poisson(lam), cut at the 1 - 1e-12 quantile, ending in 1."""
+    if lam == 0.0:
+        return np.ones(1)
+    # Beyond lam + 12 sqrt(lam) + 40 the pmf is below about e^-60.
+    d = np.arange(1, math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0))
+    # log pmf(d) - log pmf(d - 1) = log(lam / d); log pmf(0) = -lam
+    pmf = np.exp(-lam + np.concatenate([[0.0], np.cumsum(np.log(lam / d))]))
+    tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[d] = P(d < D < len(pmf))
+    cdf = np.cumsum(pmf[: np.count_nonzero(tail > _POISSON_TABLE_TAIL) + 1])
+    cdf[-1] = 1.0
+    return cdf

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from countfix import cli
+from countfix import __version__, cli
 from countfix.detector import DetectorParams, build_matrix
 from countfix.montecarlo import ShotConfig, empirical_matrix
 
@@ -286,6 +286,8 @@ def test_concurrent_simulations_are_byte_identical(tmp_path):
         (["run", "--n-max", "100000", "--prior", "pdc:0.5"], "--n-max"),
         (["run", "--n-max", "-3000", "--prior", "pdc:0.5"], "--n-max: n_max must be >= 0"),
         (["run", "--lambda", "1e300", "--prior", "pdc:0.5"], "--lambda"),
+        (["simulate", "--shots", str(2**33 + 1), "--n-max", "1"], "--shots, --n-max"),
+        (["run", "--prior", "pdc:0.5", "--emit", "simulate", "--shots", str(10**39)], "--shots, --n-max"),
     ],
 )
 def test_usage_errors_exit_2(args, fragment, tmp_path):
@@ -297,6 +299,15 @@ def test_usage_errors_exit_2(args, fragment, tmp_path):
     res = run_cli(*args, "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert fragment in res.stderr
+
+
+def test_shot_bound_applies_only_when_simulating(tmp_path):
+    # the bound itself is allowed
+    config = cli.parse_config(["simulate", "--shots", str(2**33), "--n-max", "1"])
+    assert config.shot_config.shots * (config.n_max + 1) == cli.MAX_SHOTS
+    res = run_cli("run", "--prior", "pdc:0.5", "--emit", "pmn", "--shots", str(10**39),
+                  "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
 
 
 def test_unknown_flag_exits_2():
@@ -349,6 +360,12 @@ def test_version_flag():
     assert "countfix" in res.stdout
 
 
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["version"] == __version__
+
+
 def test_reproduce_figures_rewrites_results_byte_for_byte(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "reproduce_figures", ROOT / "scripts" / "reproduce_figures.py")
@@ -367,11 +384,9 @@ def test_reproduce_figures_rewrites_results_byte_for_byte(tmp_path, monkeypatch)
 # The argv fuzz test starts from a small valid run and overrides some flags.
 # Each override is usually well-formed, keeping accepted runs small (n_max <=
 # 30, shots <= 1000, lambda <= 20); otherwise it is malformed or out of range,
-# down to sizes that must be refused before any work. A huge shot count is
-# accepted and then runs practically forever, so `--shots` and the config
-# `shots` key draw no huge values.
+# down to sizes that must be refused before any work.
 _BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "1e300", "10" * 20, "abc", "", "0x10", "1.5"]
-_BAD_SHOTS = ["0", "-1", "abc", "1.5", "nan"]
+_BAD_SHOTS = ["0", "-1", "abc", "1.5", "nan", str(10**39), str(2**70)]
 
 
 def _flag_value(good, *bad, numbers=_BAD_NUMBERS):
@@ -394,8 +409,7 @@ _FUZZ_FLAGS = {
     ),
 }
 _BAD_JSON = [0, 5, -1, 1.5, float("nan"), float("inf"), "abc", "inf", "1e300", [], [1], {}, {"a": 1}]
-_JSON_VALUES = st.none() | st.booleans() | st.sampled_from(_BAD_JSON + [2**70])
-_SHOTS_JSON_VALUES = st.none() | st.booleans() | st.sampled_from(_BAD_JSON)
+_JSON_VALUES = st.none() | st.booleans() | st.sampled_from(_BAD_JSON + [10**39, 2**70])
 _CONFIG_VALUES = {
     "p_loss": st.floats(0, 1),
     "lambda": st.floats(0, 20),
@@ -428,8 +442,7 @@ def _argv(draw, tmp_dir):
         keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES) + ["bogus"]), unique=True, max_size=3))
         doc = {}
         for key in keys:
-            bad = _SHOTS_JSON_VALUES if key == "shots" else _JSON_VALUES
-            doc[key] = draw(_CONFIG_VALUES.get(key, bad) | bad)
+            doc[key] = draw(_CONFIG_VALUES.get(key, _JSON_VALUES) | _JSON_VALUES)
         config = tmp_dir / "config.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
         argv += ["--config", str(config)]

@@ -1,10 +1,13 @@
 """Seeded shot simulation: determinism, layout independence, statistics."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from countfix import montecarlo
 from countfix.detector import DetectorParams, build_matrix
 from countfix.inference import posterior
 from countfix.montecarlo import (
@@ -14,24 +17,27 @@ from countfix.montecarlo import (
     empirical_joint,
     empirical_matrix,
     joint_stream,
-    sample_shot,
 )
-from countfix.priors import pdc_prior
-from oracles import tv_distance
+from countfix.priors import pdc_prior, uniform_prior
+from oracles import poisson_tail_quantile, tv_distance
 
 NOISY = DetectorParams(p_loss=0.5, lam=1.0)
 
 
 def test_ideal_channel_is_noiseless():
     params = DetectorParams(p_loss=0.0, lam=0.0)
-    rng = column_stream(0, 5)
-    assert all(sample_shot(params, 5, rng) == 5 for _ in range(100))
+    for col in empirical_matrix(ShotConfig(params=params, seed=0, shots=100), 5):
+        assert col.counts[col.n] == 100
+    joint = empirical_joint(ShotConfig(params=params, seed=0, shots=100), pdc_prior(0.7, n_max=5))
+    assert joint.trace() == 100
 
 
 def test_total_loss_always_reads_zero():
     params = DetectorParams(p_loss=1.0, lam=0.0)
-    rng = column_stream(3, 4)
-    assert all(sample_shot(params, 4, rng) == 0 for _ in range(100))
+    for col in empirical_matrix(ShotConfig(params=params, seed=3, shots=100), 4):
+        assert col.counts[0] == 100
+    joint = empirical_joint(ShotConfig(params=params, seed=3, shots=100), pdc_prior(0.7, n_max=4))
+    assert joint[:, 0].sum() == 100
 
 
 def test_shot_mean_and_variance_match_model():
@@ -51,24 +57,62 @@ def test_shot_mean_and_variance_match_model():
     assert var == pytest.approx(sigma**2, rel=0.02)
 
 
-def test_sample_shot_consumes_fixed_stream_width():
-    # a shot reads exactly n + 1 uniforms, so skipping n + 1 by hand
-    # lands the stream in the same place
-    rng_a = column_stream(11, 6)
-    rng_b = column_stream(11, 6)
-    sample_shot(NOISY, 6, rng_a)
-    rng_b.random(7)
-    assert rng_a.random() == rng_b.random()
+def _measured(u_survive, u_dark, n, params):
+    """scipy's inverse CDFs: survivors out of n plus dark counts."""
+    survivors = stats.binom.ppf(u_survive, n, 1.0 - params.p_loss)
+    return (survivors + stats.poisson.ppf(u_dark, params.lam)).astype(int)
 
 
-def test_matrix_agrees_with_scalar_shot_loop():
-    config = ShotConfig(params=NOISY, seed=21, shots=500)
-    [col] = empirical_matrix(config, 0, chunk_size=128)
-    rng = column_stream(21, 0)
-    manual = np.zeros_like(col.counts)
-    for _ in range(500):
-        manual[sample_shot(NOISY, 0, rng)] += 1
-    np.testing.assert_array_equal(col.counts, manual)
+@pytest.mark.parametrize("p_loss", [0.0, 0.3, 0.5, 1.0])
+def test_matrix_columns_follow_stream_layout(p_loss):
+    # shot i of column n reads row i of column_stream(seed, n).random((shots, 2))
+    params = DetectorParams(p_loss=p_loss, lam=1.3)
+    config = ShotConfig(params=params, seed=21, shots=3000)
+    for col in empirical_matrix(config, 6, chunk_size=1000):
+        u = column_stream(21, col.n).random((3000, 2))
+        manual = np.bincount(_measured(u[:, 0], u[:, 1], col.n, params), minlength=len(col.counts))
+        np.testing.assert_array_equal(col.counts, manual)
+
+
+@pytest.mark.parametrize("p_loss", [0.0, 0.3, 0.5, 1.0])
+def test_joint_follows_stream_layout(p_loss):
+    # shot i reads row i of joint_stream(seed).random((shots, 3)): the incident
+    # number from the prior, then survivors and dark counts
+    params = DetectorParams(p_loss=p_loss, lam=1.3)
+    prior = pdc_prior(0.7, n_max=6)
+    counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior, chunk_size=999)
+    u = joint_stream(21).random((3000, 3))
+    n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
+    manual = np.zeros_like(counts)
+    np.add.at(manual, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
+    np.testing.assert_array_equal(counts, manual)
+
+
+def test_sampler_shares_no_code_with_the_detector():
+    # the Monte Carlo checks the analytic path, so it only takes its parameters
+    from_detector = {
+        name for name, obj in vars(montecarlo).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == "countfix.detector"
+    }
+    assert from_detector == {"DetectorParams"}
+
+
+def test_large_photon_numbers_survive_underflow():
+    # 0.01**1000 underflows, so the survivor table must not start from it
+    params = DetectorParams(p_loss=0.01, lam=0.0)
+    shots = 10**4
+    counts = empirical_joint(ShotConfig(params=params, seed=4, shots=shots), uniform_prior(1000, 1000))
+    assert counts[1000].sum() == shots
+    mean = float(np.arange(counts.shape[1]) @ counts[1000]) / shots
+    sigma = math.sqrt(1000 * 0.99 * 0.01)
+    assert mean == pytest.approx(990.0, abs=3 * sigma / math.sqrt(shots))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 1.0, 10.0, 100.0, 800.0])
+def test_dark_count_table_is_cut_at_its_tail_quantile(lam):
+    # draws stop at the smallest q with P(D > q) <= 1e-12
+    [col] = empirical_matrix(ShotConfig(params=DetectorParams(0.0, lam), seed=0, shots=1), 0)
+    assert len(col.counts) == poisson_tail_quantile(lam, 1e-12) + 1
 
 
 def test_equal_seeds_reproduce_bitwise():
@@ -165,7 +209,7 @@ def test_shot_config_validation():
     with pytest.raises(ValueError):
         ShotConfig(params=NOISY, seed=0, shots=0)
     with pytest.raises(ValueError):
-        sample_shot(NOISY, -1, column_stream(0, 0))
+        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=10), -1)
 
 
 def test_empirical_column_checks_totals():
