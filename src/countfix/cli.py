@@ -306,13 +306,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _cells(values: np.ndarray) -> list[list[str]]:
-    """Integers render exactly, floats at 12 significant digits, NaN as undefined."""
-    if values.dtype.kind in "iu":
-        return [[str(v) for v in row.tolist()] for row in values]
-    return [[UNDEFINED if math.isnan(v) else _fmt(v) for v in row.tolist()] for row in values]
-
-
 def _counts(columns: list[EmpiricalColumn]) -> np.ndarray:
     """Histogram columns zero-padded to a common depth: rows m, columns n."""
     depth = max(len(c.counts) for c in columns)
@@ -347,7 +340,7 @@ def _emit(config: RunConfig, result: _Result) -> list[str]:
         stem, row_name, columns, description, values_of = _ARTIFACTS[kind]
         values = values_of(result)
         path = config.out_dir / f"{stem}.{config.format}"
-        _write_table(path, config.format, row_name, columns, _cells(values))
+        _write_table(path, config.format, row_name, columns, values)
         rows, cols = values.shape
         text = description.format(rows=rows, cols=cols, config=config, result=result)
         lines.append(f"wrote {path} ({text})")
@@ -358,22 +351,39 @@ def _emit(config: RunConfig, result: _Result) -> list[str]:
     return lines
 
 
-def _write_table(path, fmt, row_name, columns, cells):
-    """Rectangular data with a leading row-index column; JSON writes `undefined` as null."""
-    width = len(cells[0]) if cells else 0
+def _write_table(path, fmt, row_name, columns, values):
+    """Rectangular data with a leading row-index column; JSON writes `undefined` as null.
+
+    Every cell is the `%.12g` text of its value (integer arrays render
+    exactly), and a JSON cell is the JSON reading of that text, so `3` and
+    not `3.0`. Each row is formatted by one `%` template and, for JSON, read
+    and written by the C json codec, so no Python code runs per cell.
+    """
+    width = values.shape[1]
     indexed = isinstance(columns, str)
     header = [str(i) for i in range(width)] if indexed else list(columns)
+    cell = "%d" if values.dtype.kind in "iu" else "%.12g"
+    template = ",".join([cell] * width)
+    # the %.12g text of a finite float never contains "nan"
+    rows = [template % tuple(row.tolist()) for row in values]
     if fmt == "csv":
-        rows = [",".join([row_name] + header)]
-        rows += [",".join([str(i)] + row) for i, row in enumerate(cells)]
-        _write_text(path, "\n".join(rows) + "\n")
+        lines = [",".join([row_name] + header)]
+        lines += [f"{i},{row.replace('nan', UNDEFINED)}" for i, row in enumerate(rows)]
+        _write_text(path, "\n".join(lines) + "\n")
     else:
         doc = {
             "row_index": row_name,
             "columns": [columns + str(i) for i in range(width)] if indexed else header,
-            "values": [[None if c == UNDEFINED else json.loads(c) for c in row] for row in cells],
+            "values": None,
         }
-        _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        # json.dumps encodes in Python when given an indent, so only the head is
+        # indented that way; the C encoder writes each row in the same layout
+        # (rows 4 spaces deep, cells 6), spliced in for "values", the last key
+        head = json.dumps(doc, indent=2, sort_keys=True).removesuffix("null\n}")
+        rows = [json.dumps(json.loads(f"[{row.replace('nan', 'null')}]"), separators=(",\n      ", ":"))
+                for row in rows]
+        body = ",\n".join(f"    [\n      {row[1:-1]}\n    ]" for row in rows)
+        _write_text(path, f"{head}[\n{body}\n  ]\n}}\n")
 
 
 def _summary_text(config: RunConfig, result: _Result) -> str:

@@ -15,7 +15,7 @@ spurious zeros, and 0**0 is treated as 1 so the p_loss = 0 and p_loss = 1
 edge cases come out exact. The terms of an entry are added in a fixed order,
 by increasing number of survivors s = m - d, so an entry's value does not
 depend on the size of the matrix it is computed in; build_matrix and
-conditional_prob share that one array computation.
+conditional_prob compute the same terms and add them in that order.
 
 All functions here are pure; built matrices are immutable and safe to share
 across threads.
@@ -120,12 +120,18 @@ def conditional_prob(params: DetectorParams, m: int, n: int) -> float:
     """P(m|n): probability of measuring m counts given n incident photons.
 
     Finite sum over the number of surviving photons s from 0 to min(m, n),
-    read off the same computation build_matrix runs, so the two agree bit
-    for bit.
+    with the terms build_matrix computes, added in the same order, so the two
+    agree bit for bit.
     """
     m = _check_count(m, "m")
     n = _check_count(n, "n")
-    return float(_response(params, n, max(m, n))[m, n])
+    top = min(m, n)  # the most photons that can survive into m counts
+    survivors = _survivors(1.0 - params.p_loss, np.arange(top + 1), n).tolist()
+    pois = _poisson_pmfs(params.lam, range(m - top, m + 1)).tolist()
+    total = 0.0
+    for s in range(top + 1):  # in increasing s, as _response adds them
+        total += pois[top - s] * survivors[s]
+    return total
 
 
 def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
@@ -154,28 +160,33 @@ def _check_count(value, name: str) -> int:
 
 
 def _response(params: DetectorParams, n_max: int, m_max: int) -> np.ndarray:
-    """entries[m, n] = sum over s of pois(m - s) * B[s, n], added in increasing s.
-
-    B[s, n] = C(n, s) q^s (1-q)^(n-s) is the probability that s of n photons
-    survive, with q = 1 - p_loss.
-    """
-    q = 1.0 - params.p_loss
+    """entries[m, n] = sum over s of pois(m - s) * B[s, n], added in increasing s."""
     s, n = np.ogrid[: n_max + 1, : n_max + 1]
-    if q == 0.0:  # 0**0 = 1: every photon is lost
-        survivors = np.zeros((n_max + 1, n_max + 1))
-        survivors[0] = 1.0
-    elif q == 1.0:  # 0**0 = 1: every photon survives
-        survivors = np.eye(n_max + 1)
-    else:
-        log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
-        lost = np.maximum(n - s, 0)  # clipped where s > n, a part never read
-        log_comb = log_fact[n] - log_fact[s] - log_fact[lost]
-        survivors = np.exp(log_comb + s * math.log(q) + lost * math.log1p(-q))
+    survivors = _survivors(1.0 - params.p_loss, s, n)
     pois = _poisson_pmfs(params.lam, range(m_max + 1))
     entries = np.zeros((m_max + 1, n_max + 1))
     for k in range(min(n_max, m_max) + 1):  # the terms where k photons survive
         entries[k:, k:] += pois[: m_max + 1 - k, np.newaxis] * survivors[k, k:]
     return entries
+
+
+def _survivors(q: float, s, n) -> np.ndarray:
+    """B[s, n] = C(n, s) q^s (1-q)^(n-s), the probability that s of n photons survive.
+
+    s and n are integer arrays or scalars that broadcast together, and no s
+    exceeds max(n); entries where s > n are never read. An entry is the same
+    elementwise expression whatever the shapes, so build_matrix and
+    conditional_prob get the same bits.
+    """
+    s, n = np.broadcast_arrays(s, n)
+    if q == 0.0:  # 0**0 = 1: every photon is lost
+        return (s == 0).astype(float)
+    if q == 1.0:  # 0**0 = 1: every photon survives
+        return (s == n).astype(float)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(int(n.max()) + 1)])
+    lost = np.maximum(n - s, 0)  # clipped where s > n, a part never read
+    log_comb = log_fact[n] - log_fact[s] - log_fact[lost]
+    return np.exp(log_comb + s * math.log(q) + lost * math.log1p(-q))
 
 
 def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:

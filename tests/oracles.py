@@ -6,9 +6,11 @@ enumeration over (photons lost, dark counts) with plain float arithmetic,
 and alternatively by convolving scipy's binomial and Poisson pmfs. Both
 paths are deliberately different from the library's log-gamma evaluation.
 The dark-count truncation depth is found by a search on scipy's regularized
-incomplete gamma function rather than on a table of pmf values.
+incomplete gamma function rather than on a table of pmf values. The table
+renderer formats, and for JSON parses, one cell at a time.
 """
 
+import json
 import math
 
 import numpy as np
@@ -113,3 +115,30 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     pp[: len(p)] = p
     qq[: len(q)] = q
     return 0.5 * float(np.abs(pp - qq).sum())
+
+
+def render_table(fmt: str, row_name: str, columns, values: np.ndarray) -> str:
+    """CSV or JSON text of a table with a leading row-index column, cell by cell.
+
+    `columns` is a prefix for index-labelled columns, or the list of column
+    names. Integer arrays render exactly, floats as `%.12g` text, and NaN as
+    `undefined`; a JSON cell is `json.loads` of that text, `null` if undefined.
+    """
+    if values.dtype.kind in "iu":
+        cells = [[str(v) for v in row.tolist()] for row in values]
+    else:
+        cells = [["undefined" if math.isnan(v) else format(float(v), ".12g") for v in row.tolist()]
+                 for row in values]
+    width = len(cells[0]) if cells else 0
+    indexed = isinstance(columns, str)
+    header = [str(i) for i in range(width)] if indexed else list(columns)
+    if fmt == "csv":
+        rows = [",".join([row_name] + header)]
+        rows += [",".join([str(i)] + row) for i, row in enumerate(cells)]
+        return "\n".join(rows) + "\n"
+    doc = {
+        "row_index": row_name,
+        "columns": [columns + str(i) for i in range(width)] if indexed else header,
+        "values": [[None if c == "undefined" else json.loads(c) for c in row] for row in cells],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

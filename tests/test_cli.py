@@ -10,14 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import render_table
 
 from countfix import __version__, cli
 from countfix.detector import DetectorParams, build_matrix
 from countfix.montecarlo import ShotConfig, empirical_matrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "json"
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -182,6 +185,56 @@ def test_json_format(tmp_path):
     assert values == [0, 1, 2, 3, None, None]
     pnm = json.loads((out / "pnm.json").read_text(encoding="utf-8"))
     assert pnm["values"][0][4] is None
+
+
+@pytest.mark.parametrize("command, args", [
+    ("run", ["--p-loss", "0.5", "--lambda", "0", "--prior", "uniform:0:9",
+             "--emit", "pmn,pn,pnm,optmap,fidelity"]),
+    ("simulate", ["--p-loss", "0.5", "--lambda", "1", "--shots", "1000", "--n-max", "5"]),
+])
+def test_json_output_matches_fixture_bytes(command, args, tmp_path):
+    # the fixtures were written by the cell-by-cell renderer of countfix 0.2.0
+    res = run_cli(command, *args, "--format", "json", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    expected = FIXTURES / command
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in expected.iterdir())
+    for path in expected.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# NaN, +-0.0, subnormals, 1e-300, and magnitudes in [1e12, 1e16), where the
+# %.12g text and repr of a float differ
+_FLOAT_CELLS = (
+    st.floats(allow_infinity=False)
+    | st.sampled_from([float("nan"), 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 3.0])
+    | st.floats(1e12, 1e16, exclude_max=True)
+    | st.floats(-1e16, -1e12, exclude_min=True)
+)
+_TABLE_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+_NAMES = st.text(st.characters(codec="utf-8"), max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    if draw(st.booleans()):
+        values = draw(hnp.arrays(np.float64, _TABLE_SHAPES, elements=_FLOAT_CELLS))
+    else:
+        values = draw(hnp.arrays(np.int64, _TABLE_SHAPES))
+    width = values.shape[1]
+    columns = draw(st.sampled_from(["m", "n"]) | st.lists(_NAMES, min_size=width, max_size=width))
+    return draw(st.sampled_from(["m", "n"]) | _NAMES), columns, values
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=_tables(), fmt=st.sampled_from(["csv", "json"]))
+@example(table=("m", "n", np.array([[np.nan]])), fmt="json")
+@example(table=("m", ["P(m)", "F_raw"], np.array([[-0.0, 1e15], [5e-324, 3.0]])), fmt="csv")
+@example(table=("n", ["P(n)"], np.array([[-(2**63)], [2**63 - 1]])), fmt="json")
+def test_table_bytes_match_cell_by_cell_renderer(table, fmt, tmp_path):
+    row_name, columns, values = table
+    path = tmp_path / f"table.{fmt}"
+    cli._write_table(path, fmt, row_name, columns, values)
+    assert path.read_bytes() == render_table(fmt, row_name, columns, values).encode("utf-8")
 
 
 def test_config_file_with_flag_precedence(tmp_path):
