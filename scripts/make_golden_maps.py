@@ -13,25 +13,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from oracles import enum_optmap  # noqa: E402
+from oracles import enum_optmap, poisson_tail_quantile  # noqa: E402
 
 TAIL_EPS = 1e-10
 N_MAX = 19
-
-
-def dark_quantile(lam: float) -> int:
-    """Smallest q with P(dark counts > q) <= TAIL_EPS."""
-    if lam == 0:
-        return 0
-    q = 0
-    while stats.poisson.sf(q, lam) > TAIL_EPS:
-        q += 1
-    return q
 
 
 def uniform_prior(lo: int, hi: int, length: int) -> np.ndarray:
@@ -59,7 +48,7 @@ def main() -> None:
     out_dir = ROOT / "tests" / "golden"
     out_dir.mkdir(exist_ok=True)
     for name, (p_loss, lam, prior) in CONFIGS.items():
-        m_max = N_MAX + dark_quantile(lam)
+        m_max = N_MAX + poisson_tail_quantile(lam, TAIL_EPS)
         opt = enum_optmap(p_loss, lam, prior, m_max)
         lines = ["m,m_opt"]
         lines += [f"{m},{'undefined' if v is None else v}" for m, v in enumerate(opt)]

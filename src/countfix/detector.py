@@ -24,10 +24,11 @@ across threads.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .priors import _check_count
 
 __all__ = [
     "DetectorParams",
@@ -96,10 +97,6 @@ class ConditionalMatrix:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    def column(self, n: int) -> np.ndarray:
-        """Distribution of measured counts for n incident photons."""
-        return self.entries[:, n]
-
 
 def poisson_pmf(lam: float, d: int) -> float:
     """Probability of d dark counts under a Poisson law with mean lam.
@@ -147,16 +144,6 @@ def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
     n_max = _check_count(n_max, "n_max")
     m_max = n_max + _poisson_tail_quantile(params.lam, params.tail_epsilon)
     return ConditionalMatrix(n_max=n_max, m_max=m_max, entries=_response(params, n_max, m_max))
-
-
-def _check_count(value, name: str) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
 
 
 def _response(params: DetectorParams, n_max: int, m_max: int) -> np.ndarray:

@@ -19,10 +19,14 @@ the incident number from the prior, then the same two. Histogram merging is
 plain summation: associative and commutative. These layouts date from
 version 0.2.0; 0.1.0 read one uniform per photon, so its histograms differ.
 
-Every draw is an inverse-CDF lookup. The binomial and Poisson tables are
-built once per sampler call from the log-ratio recurrence of their pmfs, so
-no p_loss**n underflows; the Poisson table is cut at its 1 - 1e-12 quantile,
-and the mass beyond the cut goes to the last entry.
+Every draw is one np.searchsorted(cdf, u, side="right") on a 1-d CDF: the
+number of entries at or below u. There is one binomial CDF per photon
+number, P(S <= s) for s = 0..n, and one Poisson CDF per sampler call. Both
+are built from the log-ratio recurrence of their pmfs, so no p_loss**n
+underflows; the Poisson CDF is cut at its 1 - 1e-12 quantile, and the mass
+beyond the cut goes to the last entry. The joint sampler groups each chunk's
+shots by incident number before drawing survivors; histograms do not depend
+on the order of shots, so grouping changes no count.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorParams
-from .priors import NumberPrior
+from .priors import NumberPrior, _check_count
 
 __all__ = [
     "ShotConfig",
@@ -58,12 +62,11 @@ class ShotConfig:
     shots: int
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if int(self.shots) < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "shots", int(self.shots))
+        seed = _check_count(self.seed, "seed")
+        if seed >= 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "shots", _check_count(self.shots, "shots", least=1))
 
 
 @dataclass(frozen=True)
@@ -102,14 +105,18 @@ def empirical_matrix(config: ShotConfig, n_max: int, chunk_size: int = 65536) ->
     Column histograms estimate P(.|n). chunk_size only bounds memory; it
     never changes the result.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    survivors = _binomial_cdfs(1.0 - config.params.p_loss, n_max)
+    n_max = _check_count(n_max, "n_max")
+    chunk_size = _check_count(chunk_size, "chunk_size", least=1)
     dark = _poisson_cdf(config.params.lam)
     columns = []
     for n in range(n_max + 1):
+        survivors = _binomial_cdf(1.0 - config.params.p_loss, n)
+        rng = column_stream(config.seed, n)
         counts = np.zeros(n + len(dark), dtype=np.int64)
-        for _, m in _shots(column_stream(config.seed, n), config.shots, chunk_size, survivors, dark, n):
+        for start in range(0, config.shots, chunk_size):
+            u = rng.random((min(chunk_size, config.shots - start), 2))
+            m = np.searchsorted(survivors, u[:, 0], side="right")
+            m += np.searchsorted(dark, u[:, 1], side="right")
             counts += np.bincount(m, minlength=len(counts))
         columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
     return columns
@@ -122,14 +129,23 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65
     histogram on its total reproduces the Bayes posterior P(n|m)
     empirically. chunk_size only bounds memory; it never changes the result.
     """
+    chunk_size = _check_count(chunk_size, "chunk_size", least=1)
     n_top = len(prior.probs) - 1
-    survivors = _binomial_cdfs(1.0 - config.params.p_loss, n_top)
+    survivors = [_binomial_cdf(1.0 - config.params.p_loss, n) for n in range(n_top + 1)]
     dark = _poisson_cdf(config.params.lam)
     prior_cdf = np.cumsum(prior.probs)
-    prior_cdf[-1] = 1.0  # like every table here, so no draw passes n_top
+    prior_cdf[-1] = 1.0  # like every CDF here, so no draw passes n_top
     counts = np.zeros((n_top + 1, n_top + len(dark)), dtype=np.int64)
-    for n, m in _shots(joint_stream(config.seed), config.shots, chunk_size, survivors, dark, prior_cdf):
-        counts += np.bincount(n * counts.shape[1] + m, minlength=counts.size).reshape(counts.shape)
+    rng = joint_stream(config.seed)
+    for start in range(0, config.shots, chunk_size):
+        u = rng.random((min(chunk_size, config.shots - start), 3))
+        n = np.searchsorted(prior_cdf, u[:, 0], side="right")
+        sizes = np.bincount(n, minlength=n_top + 1)
+        by_n = np.split(np.argsort(n), np.cumsum(sizes)[:-1])
+        for k in np.flatnonzero(sizes):
+            m = np.searchsorted(survivors[k], u[by_n[k], 1], side="right")
+            m += np.searchsorted(dark, u[by_n[k], 2], side="right")
+            counts[k] += np.bincount(m, minlength=counts.shape[1])
     return counts
 
 
@@ -138,49 +154,17 @@ def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def _shots(rng, shots: int, chunk_size: int, survivors: np.ndarray, dark: np.ndarray,
-           incident: int | np.ndarray):
-    """Yield the incident and measured counts of `shots` shots, chunk by chunk.
-
-    `incident` is the photon number of every shot (2 uniforms a shot), or
-    the prior's CDF to draw it from with a shot's first uniform (3 uniforms
-    a shot). The last two uniforms of a shot draw its survivors from row n
-    of `survivors` and its dark counts from `dark`.
-    """
-    width = 2 if np.ndim(incident) == 0 else 3
-    for start in range(0, shots, chunk_size):
-        u = rng.random((min(chunk_size, shots - start), width))
-        n = incident if width == 2 else _inverse_cdf(incident, 0, u[:, 0])
-        yield n, _inverse_cdf(survivors, n, u[:, -2]) + _inverse_cdf(dark, 0, u[:, -1])
-
-
-def _inverse_cdf(cdfs: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
-    """Per shot, the number of entries of its CDF row cdfs[rows] at or below u.
-
-    Every row ends in 1 > u, so a draw never passes its row's last entry.
-    One binary search runs for all shots at once; rows is an index into a
-    2-d table (scalar or one per shot), or 0 for a 1-d table.
-    """
-    last = cdfs.shape[-1] - 1
-    flat = cdfs.ravel()
-    base = rows * cdfs.shape[-1]
-    drawn = np.zeros(len(u), dtype=np.intp)
-    step = (1 << last.bit_length()) >> 1  # the largest power of two <= last, or 0
-    while step:
-        drawn += step * (flat[base + np.minimum(drawn + step - 1, last)] <= u)
-        step >>= 1
-    return drawn
-
-
-def _binomial_cdfs(q: float, n_max: int) -> np.ndarray:
-    """cdfs[n, s] = P(S <= s) for S ~ Binomial(n, q), set to 1 from s = n on."""
-    n, s = np.ogrid[: n_max + 1, : n_max + 1]
+def _binomial_cdf(q: float, n: int) -> np.ndarray:
+    """P(S <= s) for S ~ Binomial(n, q) and s = 0..n, ending in 1."""
+    s = np.arange(n + 1)
     if q in (0.0, 1.0):  # every photon is lost, or every photon survives
         return np.where(s >= n * q, 1.0, 0.0)
     # log pmf(s) - log pmf(s - 1) for 1 <= s <= n; log pmf(0) = n log(1 - q)
-    ratios = np.log(np.maximum(n - s + 1, 1) / np.maximum(s, 1)) + math.log(q / (1.0 - q))
-    log_pmf = n * math.log1p(-q) + np.cumsum(np.where((s >= 1) & (s <= n), ratios, 0.0), axis=1)
-    return np.where(s >= n, 1.0, np.cumsum(np.exp(log_pmf), axis=1))
+    ratios = np.log((n - s[1:] + 1) / s[1:]) + math.log(q / (1.0 - q))
+    log_pmf = n * math.log1p(-q) + np.concatenate([[0.0], np.cumsum(ratios)])
+    cdf = np.cumsum(np.exp(log_pmf))
+    cdf[-1] = 1.0
+    return cdf
 
 
 def _poisson_cdf(lam: float) -> np.ndarray:

@@ -9,6 +9,7 @@ user-supplied weights. Outputs are immutable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,20 +68,15 @@ def pdc_prior(chi: float, n_max: int | None = None) -> NumberPrior:
     if n_max is None:
         n_max = _default_support(chi2)
     else:
-        n_max = int(n_max)
-        if n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {n_max}")
+        n_max = _check_count(n_max, "n_max")
     weights = (1.0 - chi2) * chi2 ** np.arange(n_max + 1)
     return NumberPrior(probs=weights / weights.sum(), label=f"pdc(chi={chi:g})")
 
 
 def uniform_prior(lo: int, hi: int) -> NumberPrior:
     """Uniform distribution P(n) = 1/(hi-lo+1) on lo..hi, zero elsewhere."""
-    lo, hi = int(lo), int(hi)
-    if lo < 0:
-        raise ValueError(f"lo must be >= 0, got {lo}")
-    if hi < lo:
-        raise ValueError(f"hi must be >= lo, got lo={lo}, hi={hi}")
+    lo = _check_count(lo, "lo")
+    hi = _check_count(hi, "hi", least=lo)
     probs = np.zeros(hi + 1)
     probs[lo:] = 1.0 / (hi - lo + 1)
     return NumberPrior(probs=probs, label=f"uniform({lo}..{hi})")
@@ -103,6 +99,17 @@ def custom_prior(weights, label: str = "custom") -> NumberPrior:
     if total <= 0.0:
         raise ValueError("at least one weight must be positive")
     return NumberPrior(probs=w / total, label=label)
+
+
+def _check_count(value, name: str, least: int = 0) -> int:
+    """`value` as an int of at least `least`; fractional and non-numeric values are refused."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _default_support(chi2: float) -> int:

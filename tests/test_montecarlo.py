@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,14 +79,15 @@ def test_matrix_columns_follow_stream_layout(p_loss):
 def test_joint_follows_stream_layout(p_loss):
     # shot i reads row i of joint_stream(seed).random((shots, 3)): the incident
     # number from the prior, then survivors and dark counts
+    # uniform_prior(5, 300) leaves n < 5, and some other n in each chunk, without a shot
     params = DetectorParams(p_loss=p_loss, lam=1.3)
-    prior = pdc_prior(0.7, n_max=6)
-    counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior, chunk_size=999)
     u = joint_stream(21).random((3000, 3))
-    n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
-    manual = np.zeros_like(counts)
-    np.add.at(manual, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
-    np.testing.assert_array_equal(counts, manual)
+    for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
+        counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior, chunk_size=999)
+        n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
+        manual = np.zeros_like(counts)
+        np.add.at(manual, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
+        np.testing.assert_array_equal(counts, manual)
 
 
 def test_sampler_shares_no_code_with_the_detector():
@@ -208,8 +210,29 @@ def test_shot_config_validation():
         ShotConfig(params=NOISY, seed=2**64, shots=10)
     with pytest.raises(ValueError):
         ShotConfig(params=NOISY, seed=0, shots=0)
-    with pytest.raises(ValueError):
-        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=10), -1)
+    for seed, shots in [(1.5, 10), (0, 2.7), ("0", 10)]:
+        with pytest.raises(ValueError):
+            ShotConfig(params=NOISY, seed=seed, shots=shots)
+    config = ShotConfig(params=NOISY, seed=0, shots=10)
+    for n_max in (-1, 2.5):
+        with pytest.raises(ValueError):
+            empirical_matrix(config, n_max)
+    for chunk_size in (0, -5, 2.5):
+        with pytest.raises(ValueError):
+            empirical_matrix(config, 2, chunk_size=chunk_size)
+        with pytest.raises(ValueError):
+            empirical_joint(config, pdc_prior(0.7, n_max=2), chunk_size=chunk_size)
+
+
+def test_matrix_memory_stays_near_its_result():
+    # the survivor CDFs are built one column at a time, never as an (n_max+1)^2 table
+    tracemalloc.start()
+    try:
+        columns = empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=1), 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(col.counts.nbytes for col in columns)
 
 
 def test_empirical_column_checks_totals():

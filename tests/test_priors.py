@@ -63,6 +63,8 @@ def test_pdc_validation():
         pdc_prior(1.0)
     with pytest.raises(ValueError):
         pdc_prior(0.5, n_max=-1)
+    with pytest.raises(ValueError):
+        pdc_prior(0.7, n_max=2.5)
 
 
 def test_pdc_label():
@@ -90,6 +92,10 @@ def test_uniform_validation():
         uniform_prior(-1, 3)
     with pytest.raises(ValueError):
         uniform_prior(4, 3)
+    with pytest.raises(ValueError):
+        uniform_prior(0.5, 3)
+    with pytest.raises(ValueError):
+        uniform_prior(0, 3.9)
 
 
 def test_custom_normalizes_weights():
