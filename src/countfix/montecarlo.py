@@ -19,14 +19,18 @@ the incident number from the prior, then the same two. Histogram merging is
 plain summation: associative and commutative. These layouts date from
 version 0.2.0; 0.1.0 read one uniform per photon, so its histograms differ.
 
-Every draw is one np.searchsorted(cdf, u, side="right") on a 1-d CDF: the
+Every draw returns np.searchsorted(cdf, u, side="right") on a 1-d CDF: the
 number of entries at or below u. There is one binomial CDF per photon
-number, P(S <= s) for s = 0..n, and one Poisson CDF per sampler call. Both
-are built from the log-ratio recurrence of their pmfs, so no p_loss**n
-underflows; the Poisson CDF is cut at its 1 - 1e-12 quantile, and the mass
-beyond the cut goes to the last entry. The joint sampler groups each chunk's
-shots by incident number before drawing survivors; histograms do not depend
-on the order of shots, so grouping changes no count.
+number, P(S <= s) for s = 0..n, one Poisson CDF per sampler call, and the
+prior's CDF. Every CDF but the joint sampler's survivor CDFs has a guide
+table (Chen & Asau's indexed search): the draw is read from the table's
+bucket for u, and only a u whose bucket holds a CDF entry falls back to the
+binary search, so the result is the same either way. The binomial and
+Poisson CDFs are built from the log-ratio recurrence of their pmfs, so no
+p_loss**n underflows; the Poisson CDF is cut at its 1 - 1e-12 quantile, and
+the mass beyond the cut goes to the last entry. The joint sampler groups
+each chunk's shots by incident number before drawing survivors; histograms
+do not depend on the order of shots, so grouping changes no count.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ __all__ = [
 ]
 
 _POISSON_TABLE_TAIL = 1e-12
+_GUIDE_BUCKETS = 2**12  # a power of two, so u * _GUIDE_BUCKETS is exact
 _COLUMN_NAMESPACE = 0
 _JOINT_NAMESPACE = 1
 
@@ -107,16 +112,16 @@ def empirical_matrix(config: ShotConfig, n_max: int, chunk_size: int = 65536) ->
     """
     n_max = _check_count(n_max, "n_max")
     chunk_size = _check_count(chunk_size, "chunk_size", least=1)
-    dark = _poisson_cdf(config.params.lam)
+    dark = _guide(_poisson_cdf(config.params.lam))
     columns = []
     for n in range(n_max + 1):
-        survivors = _binomial_cdf(1.0 - config.params.p_loss, n)
+        survivors = _guide(_binomial_cdf(1.0 - config.params.p_loss, n))
         rng = column_stream(config.seed, n)
-        counts = np.zeros(n + len(dark), dtype=np.int64)
+        counts = np.zeros(n + len(dark[0]), dtype=np.int64)
         for start in range(0, config.shots, chunk_size):
             u = rng.random((min(chunk_size, config.shots - start), 2))
-            m = np.searchsorted(survivors, u[:, 0], side="right")
-            m += np.searchsorted(dark, u[:, 1], side="right")
+            m = _draw(survivors, u[:, 0])
+            m += _draw(dark, u[:, 1])
             counts += np.bincount(m, minlength=len(counts))
         columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
     return columns
@@ -132,19 +137,18 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65
     chunk_size = _check_count(chunk_size, "chunk_size", least=1)
     n_top = len(prior.probs) - 1
     survivors = [_binomial_cdf(1.0 - config.params.p_loss, n) for n in range(n_top + 1)]
-    dark = _poisson_cdf(config.params.lam)
-    prior_cdf = np.cumsum(prior.probs)
-    prior_cdf[-1] = 1.0  # like every CDF here, so no draw passes n_top
-    counts = np.zeros((n_top + 1, n_top + len(dark)), dtype=np.int64)
+    dark = _guide(_poisson_cdf(config.params.lam))
+    incident = _guide(_prior_cdf(prior.probs))
+    counts = np.zeros((n_top + 1, n_top + len(dark[0])), dtype=np.int64)
     rng = joint_stream(config.seed)
     for start in range(0, config.shots, chunk_size):
         u = rng.random((min(chunk_size, config.shots - start), 3))
-        n = np.searchsorted(prior_cdf, u[:, 0], side="right")
+        n = _draw(incident, u[:, 0])
         sizes = np.bincount(n, minlength=n_top + 1)
         by_n = np.split(np.argsort(n), np.cumsum(sizes)[:-1])
         for k in np.flatnonzero(sizes):
             m = np.searchsorted(survivors[k], u[by_n[k], 1], side="right")
-            m += np.searchsorted(dark, u[by_n[k], 2], side="right")
+            m += _draw(dark, u[by_n[k], 2])
             counts[k] += np.bincount(m, minlength=counts.shape[1])
     return counts
 
@@ -152,6 +156,33 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65
 def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:
     counter = (namespace << 192) | (stream << 128)
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+
+
+def _guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair cdf with its guide table of _GUIDE_BUCKETS buckets, for _draw.
+
+    table[b] is searchsorted(cdf, u, side="right") for every u in
+    [b, b + 1) / _GUIDE_BUCKETS when that value is the same for all of them,
+    and -1 when a CDF entry lies inside the bucket.
+    """
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    low = np.searchsorted(cdf, edges[:-1], side="right")
+    high = np.searchsorted(cdf, edges[1:], side="left")
+    return cdf, np.where(low == high, low, -1)
+
+
+def _draw(guide: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right") for uniforms 0 <= u < 1."""
+    cdf, table = guide
+    # u * 2**12 is exact and the cast to intp truncates, which is floor for
+    # u >= 0, so u lies in the bucket read; casting into `bucket` skips a
+    # float temporary as large as u
+    bucket = np.empty(len(u), dtype=np.intp)
+    np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")
+    k = table[bucket]
+    miss = np.flatnonzero(k < 0)
+    k[miss] = np.searchsorted(cdf, u[miss], side="right")
+    return k
 
 
 def _binomial_cdf(q: float, n: int) -> np.ndarray:
@@ -164,6 +195,13 @@ def _binomial_cdf(q: float, n: int) -> np.ndarray:
     log_pmf = n * math.log1p(-q) + np.concatenate([[0.0], np.cumsum(ratios)])
     cdf = np.cumsum(np.exp(log_pmf))
     cdf[-1] = 1.0
+    return cdf
+
+
+def _prior_cdf(probs: np.ndarray) -> np.ndarray:
+    """P(N <= n) for n = 0..len(probs) - 1, exactly 1 from the last positive weight on."""
+    cdf = np.cumsum(probs)
+    cdf[np.flatnonzero(probs)[-1] :] = 1.0  # so no draw lands on a trailing zero weight
     return cdf
 
 

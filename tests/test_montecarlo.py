@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from countfix import montecarlo
@@ -19,7 +21,7 @@ from countfix.montecarlo import (
     empirical_matrix,
     joint_stream,
 )
-from countfix.priors import pdc_prior, uniform_prior
+from countfix.priors import custom_prior, pdc_prior, uniform_prior
 from oracles import poisson_tail_quantile, tv_distance
 
 NOISY = DetectorParams(p_loss=0.5, lam=1.0)
@@ -88,6 +90,76 @@ def test_joint_follows_stream_layout(p_loss):
         manual = np.zeros_like(counts)
         np.add.at(manual, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
         np.testing.assert_array_equal(counts, manual)
+
+
+def test_large_dark_rate_follows_stream_layout():
+    # at lam 800 about 4 % of the dark-count guide buckets hold a CDF entry,
+    # so these draws also take the binary-search fallback
+    assert (montecarlo._guide(montecarlo._poisson_cdf(800.0))[1] < 0).mean() > 0.01
+    params = DetectorParams(p_loss=0.3, lam=800.0)
+    config = ShotConfig(params=params, seed=21, shots=3000)
+    for col in empirical_matrix(config, 6, chunk_size=1000):
+        u = column_stream(21, col.n).random((3000, 2))
+        manual = np.bincount(_measured(u[:, 0], u[:, 1], col.n, params), minlength=len(col.counts))
+        np.testing.assert_array_equal(col.counts, manual)
+    u = joint_stream(21).random((3000, 3))
+    for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
+        counts = empirical_joint(config, prior, chunk_size=999)
+        n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
+        manual = np.zeros_like(counts)
+        np.add.at(manual, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
+        np.testing.assert_array_equal(counts, manual)
+
+
+class _StuckStream:
+    """Stands in for joint_stream: every uniform is the largest double below 1."""
+
+    def random(self, shape):
+        return np.full(shape, 1.0 - 2.0**-53)
+
+
+def test_joint_never_draws_a_zero_weight_number(monkeypatch):
+    # the cumulative sum of ten weights 0.1 ends at 1 - 2**-53, so that u
+    # would land on n = 10, whose weight is 0
+    monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _StuckStream())
+    prior = custom_prior([0.1] * 10 + [0.0])
+    counts = empirical_joint(ShotConfig(params=NOISY, seed=0, shots=5), prior, chunk_size=2)
+    assert counts[:10].sum() == 5
+
+
+_BUCKET_EDGES = np.arange(montecarlo._GUIDE_BUCKETS) / montecarlo._GUIDE_BUCKETS
+
+_CDFS = st.one_of(
+    st.builds(
+        montecarlo._binomial_cdf,
+        st.sampled_from([0.0, 1.0, 1e-9, 0.5]) | st.floats(0.0, 1.0),
+        st.integers(0, 1000),
+    ),
+    st.builds(montecarlo._poisson_cdf, st.sampled_from([0.0, 1.0, 800.0, 1e4])),
+    st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0]), min_size=1, max_size=40)
+    .filter(any)
+    .map(lambda w: montecarlo._prior_cdf(custom_prior(w).probs)),
+    st.just(np.ones(1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cdf=_CDFS, seed=st.integers(0, 2**32 - 1))
+def test_guided_draw_equals_binary_search(cdf, seed):
+    inside = cdf[cdf < 1.0]
+    u = np.concatenate([
+        inside,
+        np.nextafter(inside, 0.0),
+        np.nextafter(inside, 1.0),
+        _BUCKET_EDGES,
+        np.nextafter(_BUCKET_EDGES[1:], 0.0),
+        [0.0, 1.0 - 2.0**-53],
+        np.random.default_rng(seed).random(1000),
+    ])
+    u = u[u < 1.0]  # the neighbour above 1 - 2**-53 is 1, which no uniform reaches
+    np.testing.assert_array_equal(
+        montecarlo._draw(montecarlo._guide(cdf), u), np.searchsorted(cdf, u, side="right")
+    )
 
 
 def test_sampler_shares_no_code_with_the_detector():
