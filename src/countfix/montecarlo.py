@@ -19,6 +19,12 @@ the incident number from the prior, then the same two. Histogram merging is
 plain summation: associative and commutative. These layouts date from
 version 0.2.0; 0.1.0 read one uniform per photon, so its histograms differ.
 
+empirical_matrix samples its columns on threads, one per usable CPU, and
+chunk_size bounds the shots in flight across all of them. Each column reads
+its own substream, so histograms do not depend on the thread count. numpy
+releases the GIL while it generates and looks up the uniforms, so the
+threads overlap. empirical_joint reads one stream and runs on one thread.
+
 Every draw returns np.searchsorted(cdf, u, side="right") on a 1-d CDF: the
 number of entries at or below u. There is one binomial CDF per photon
 number, P(S <= s) for s = 0..n, one Poisson CDF per sampler call, and the
@@ -36,6 +42,9 @@ do not depend on the order of shots, so grouping changes no count.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,14 +116,19 @@ def joint_stream(seed: int) -> np.random.Generator:
 def empirical_matrix(config: ShotConfig, n_max: int, chunk_size: int = 65536) -> list[EmpiricalColumn]:
     """Simulate `shots` shots for each incident n in 0..n_max.
 
-    Column histograms estimate P(.|n). chunk_size only bounds memory; it
-    never changes the result.
+    Column histograms estimate P(.|n). The columns are sampled concurrently,
+    on the calling thread and one helper thread per further usable CPU; each
+    thread draws chunk_size // threads shots at a time, so chunk_size bounds
+    the shots in flight across all threads. Neither chunk_size nor the
+    thread count ever changes the result.
     """
     n_max = _check_count(n_max, "n_max")
     chunk_size = _check_count(chunk_size, "chunk_size", least=1)
+    workers = _workers(n_max + 1)
+    chunk_size = max(1, chunk_size // workers)  # shots per draw on each thread
     dark = _guide(_poisson_cdf(config.params.lam))
-    columns = []
-    for n in range(n_max + 1):
+
+    def column(n: int) -> EmpiricalColumn:
         survivors = _guide(_binomial_cdf(1.0 - config.params.p_loss, n))
         rng = column_stream(config.seed, n)
         counts = np.zeros(n + len(dark[0]), dtype=np.int64)
@@ -123,8 +137,9 @@ def empirical_matrix(config: ShotConfig, n_max: int, chunk_size: int = 65536) ->
             m = _draw(survivors, u[:, 0])
             m += _draw(dark, u[:, 1])
             counts += np.bincount(m, minlength=len(counts))
-        columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
-    return columns
+        return EmpiricalColumn(n=n, counts=counts, total=config.shots)
+
+    return _on_threads(column, n_max + 1, workers)
 
 
 def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65536) -> np.ndarray:
@@ -151,6 +166,58 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65
             m += _draw(dark, u[by_n[k], 2])
             counts[k] += np.bincount(m, minlength=counts.shape[1])
     return counts
+
+
+def _workers(columns: int) -> int:
+    """Threads that sample `columns` columns: one per usable CPU, at most one per column."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows
+        cpus = os.cpu_count() or 1
+    return min(columns, cpus)
+
+
+def _on_threads(task: Callable[[int], object], count: int, workers: int) -> list:
+    """[task(i) for i in range(count)], computed on the calling thread and
+    workers - 1 helper threads that take the next i as each one finishes.
+
+    The first exception any thread raises stops the others from taking
+    further work and is re-raised here, unchanged.
+    """
+    results = [None] * count
+    todo = list(range(count - 1, -1, -1))  # popped from the end, 0 first
+    lock = threading.Lock()
+    errors = []
+
+    def run() -> None:
+        while True:
+            with lock:
+                if not todo:
+                    return
+                i = todo.pop()
+            results[i] = task(i)
+
+    def helper() -> None:
+        try:
+            run()
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+            with lock:
+                todo.clear()
+
+    threads = [threading.Thread(target=helper) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        run()
+    finally:
+        with lock:
+            todo.clear()  # if the calling thread failed, the helpers stop too
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:

@@ -407,6 +407,20 @@ def test_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_import_loads_no_executor_or_logging():
+    # the Monte Carlo threads come from `threading`, which numpy imports anyway;
+    # concurrent.futures would pull in logging and lengthen every cold start
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import countfix, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_version_flag():
     res = run_cli("--version")
     assert res.returncode == 0

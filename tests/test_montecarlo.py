@@ -2,6 +2,9 @@
 
 import inspect
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -211,6 +214,91 @@ def test_chunk_layout_never_changes_results():
             np.testing.assert_array_equal(ca.counts, cb.counts)
 
 
+def test_thread_count_never_changes_results(monkeypatch):
+    # each column reads its own substream, so which thread samples it, and
+    # with how many shots per draw, changes no count; a short switch interval
+    # makes the threads interleave often, so a column lost or written twice shows
+    params = DetectorParams(p_loss=0.3, lam=1.3)
+    config = ShotConfig(params=params, seed=21, shots=3000)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_workers", lambda columns, k=workers: k)
+            runs.append(empirical_matrix(config, 6, chunk_size=1000))
+    finally:
+        sys.setswitchinterval(interval)
+    for columns in runs:
+        assert [col.n for col in columns] == list(range(7))
+        for col, ref in zip(columns, runs[0]):
+            np.testing.assert_array_equal(col.counts, ref.counts)
+    for col in runs[0]:
+        u = column_stream(21, col.n).random((3000, 2))
+        manual = np.bincount(_measured(u[:, 0], u[:, 1], col.n, params), minlength=len(col.counts))
+        np.testing.assert_array_equal(col.counts, manual)
+
+
+def test_workers_follow_usable_cpus(monkeypatch):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert montecarlo._workers(1) == 1
+    assert montecarlo._workers(10**6) == cpus
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert montecarlo._workers(10**6) == 1
+
+
+class _NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread was started for one worker")
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(montecarlo.threading, "Thread", _NoThread)
+    config = ShotConfig(params=NOISY, seed=0, shots=100)
+    assert len(empirical_matrix(config, 0)) == 1
+    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 1)
+    assert len(empirical_matrix(config, 5)) == 6
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_column_errors_reach_the_caller(monkeypatch, workers):
+    error = ValueError("no stream for n = 5")
+
+    def stream(seed, n):
+        if n == 5:
+            raise error
+        return column_stream(seed, n)
+
+    monkeypatch.setattr(montecarlo, "column_stream", stream)
+    monkeypatch.setattr(montecarlo, "_workers", lambda columns: workers)
+    with pytest.raises(ValueError) as caught:
+        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
+    assert caught.value is error
+
+
+def test_helper_thread_errors_reach_the_caller(monkeypatch):
+    # the calling thread holds its first column until a helper has failed,
+    # so the error is raised on a helper thread, never on the caller's
+    error = ValueError("helper failed")
+    failed = threading.Event()
+
+    def stream(seed, n):
+        if threading.current_thread() is not threading.main_thread():
+            failed.set()
+            raise error
+        assert failed.wait(timeout=30), "no helper thread took a column"
+        return column_stream(seed, n)
+
+    monkeypatch.setattr(montecarlo, "column_stream", stream)
+    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 2)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as caught:
+        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
+    assert caught.value is error
+    assert threading.active_count() == before
+
+
 def test_joint_chunk_layout_never_changes_results():
     config = ShotConfig(params=NOISY, seed=7, shots=4096)
     prior = pdc_prior(0.7, n_max=6)
@@ -305,6 +393,22 @@ def test_matrix_memory_stays_near_its_result():
     finally:
         tracemalloc.stop()
     assert peak < 2 * sum(col.counts.nbytes for col in columns)
+
+
+def test_threads_keep_the_shots_in_flight(monkeypatch):
+    # each of k threads draws chunk_size // k shots at a time
+    config = ShotConfig(params=NOISY, seed=0, shots=2**18)
+    empirical_matrix(config, 7, chunk_size=2**16)  # first-call allocations stay out of the peaks
+    peaks = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_workers", lambda columns, k=workers: k)
+        tracemalloc.start()
+        try:
+            empirical_matrix(config, 7, chunk_size=2**16)
+            _, peaks[workers] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.1 * peaks[1]
 
 
 def test_empirical_column_checks_totals():
