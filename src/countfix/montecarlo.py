@@ -19,24 +19,33 @@ the incident number from the prior, then the same two. Histogram merging is
 plain summation: associative and commutative. These layouts date from
 version 0.2.0; 0.1.0 read one uniform per photon, so its histograms differ.
 
+Draws read the raw 64-bit Philox words, and a word w stands for the uniform
+u = (w >> 11) * 2**-53, numpy's own conversion to a double, so "row i of
+rng.random((shots, width))" still describes them exactly.
+
 empirical_matrix samples its columns on threads, one per usable CPU, and
 chunk_size bounds the shots in flight across all of them. Each column reads
-its own substream, so histograms do not depend on the thread count. numpy
-releases the GIL while it generates and looks up the uniforms, so the
-threads overlap. empirical_joint reads one stream and runs on one thread.
+its own substream, so histograms do not depend on the thread count.
+empirical_joint splits its one stream into chunks on the same threads: a
+chunk's copy of the stream is advanced to its first shot, which a
+counter-based generator does without drawing the words before it, and the
+chunks add into one histogram under a lock. numpy releases the GIL while it
+generates and looks up the words, so the threads overlap.
 
 Every draw returns np.searchsorted(cdf, u, side="right") on a 1-d CDF: the
 number of entries at or below u. There is one binomial CDF per photon
 number, P(S <= s) for s = 0..n, one Poisson CDF per sampler call, and the
-prior's CDF. Every CDF but the joint sampler's survivor CDFs has a guide
-table (Chen & Asau's indexed search): the draw is read from the table's
-bucket for u, and only a u whose bucket holds a CDF entry falls back to the
-binary search, so the result is the same either way. The binomial and
-Poisson CDFs are built from the log-ratio recurrence of their pmfs, so no
-p_loss**n underflows; the Poisson CDF is cut at its 1 - 1e-12 quantile, and
-the mass beyond the cut goes to the last entry. The joint sampler groups
-each chunk's shots by incident number before drawing survivors; histograms
-do not depend on the order of shots, so grouping changes no count.
+prior's CDF. Each CDF is compared with words through its thresholds, the
+first word whose u reaches each entry, and has a guide table (Chen & Asau's
+indexed search) on the top bits of the word: the draw is read from the
+table's bucket, and only a word whose bucket holds a threshold falls back to
+the binary search, so the result is the same either way. The joint sampler
+stacks the survivor tables of the numbers its prior can draw into one array
+and reads every shot's survivors with one gather; only the fallbacks are
+grouped by incident number. The binomial and Poisson CDFs are built from the
+log-ratio recurrence of their pmfs, so no p_loss**n underflows; the Poisson
+CDF is cut at its 1 - 1e-12 quantile, and the mass beyond the cut goes to
+the last entry.
 """
 
 from __future__ import annotations
@@ -62,7 +71,8 @@ __all__ = [
 ]
 
 _POISSON_TABLE_TAIL = 1e-12
-_GUIDE_BUCKETS = 2**12  # a power of two, so u * _GUIDE_BUCKETS is exact
+_GUIDE_BUCKETS = 2**12  # a power of two: a word's bucket is its top 12 bits
+_JOINT_TABLE_ENTRIES = 2**22  # at most 8 MiB of int16 survivor guide rows
 _COLUMN_NAMESPACE = 0
 _JOINT_NAMESPACE = 1
 
@@ -126,20 +136,25 @@ def empirical_matrix(config: ShotConfig, n_max: int, chunk_size: int = 65536) ->
     chunk_size = _check_count(chunk_size, "chunk_size", least=1)
     workers = _workers(n_max + 1)
     chunk_size = max(1, chunk_size // workers)  # shots per draw on each thread
-    dark = _guide(_poisson_cdf(config.params.lam))
+    dark_cdf = _poisson_cdf(config.params.lam)
+    dark = _guide(dark_cdf)
 
-    def column(n: int) -> EmpiricalColumn:
+    def column(n: int, scratch: np.ndarray) -> EmpiricalColumn:
         survivors = _guide(_binomial_cdf(1.0 - config.params.p_loss, n))
-        rng = column_stream(config.seed, n)
-        counts = np.zeros(n + len(dark[0]), dtype=np.int64)
+        words = column_stream(config.seed, n).bit_generator
+        counts = np.zeros(n + len(dark_cdf), dtype=np.int64)
         for start in range(0, config.shots, chunk_size):
-            u = rng.random((min(chunk_size, config.shots - start), 2))
-            m = _draw(survivors, u[:, 0])
-            m += _draw(dark, u[:, 1])
+            w = words.random_raw((min(chunk_size, config.shots - start), 2))
+            bucket, m, d = scratch[:, : len(w)]
+            _draw(survivors, w[:, 0], bucket, m)
+            m += _draw(dark, w[:, 1], bucket, d)
             counts += np.bincount(m, minlength=len(counts))
         return EmpiricalColumn(n=n, counts=counts, total=config.shots)
 
-    return _on_threads(column, n_max + 1, workers)
+    def scratch() -> np.ndarray:
+        return np.empty((3, min(chunk_size, config.shots)), dtype=np.intp)
+
+    return _on_threads(column, n_max + 1, workers, scratch)
 
 
 def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65536) -> np.ndarray:
@@ -147,24 +162,65 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65
 
     Returns an int64 array counts[n, m]. Conditioning a column of this
     histogram on its total reproduces the Bayes posterior P(n|m)
-    empirically. chunk_size only bounds memory; it never changes the result.
+    empirically. The shots are sampled in chunks on the calling thread and
+    one helper thread per further usable CPU, at most one thread per
+    chunk_size shots; each thread draws chunk_size // threads shots at a
+    time. Neither chunk_size nor the thread count ever changes the result.
     """
     chunk_size = _check_count(chunk_size, "chunk_size", least=1)
     n_top = len(prior.probs) - 1
-    survivors = [_binomial_cdf(1.0 - config.params.p_loss, n) for n in range(n_top + 1)]
-    dark = _guide(_poisson_cdf(config.params.lam))
+    q = 1.0 - config.params.p_loss
+    dark_cdf = _poisson_cdf(config.params.lam)
+    dark = _guide(dark_cdf)
     incident = _guide(_prior_cdf(prior.probs))
-    counts = np.zeros((n_top + 1, n_top + len(dark[0])), dtype=np.int64)
-    rng = joint_stream(config.seed)
-    for start in range(0, config.shots, chunk_size):
-        u = rng.random((min(chunk_size, config.shots - start), 3))
-        n = _draw(incident, u[:, 0])
-        sizes = np.bincount(n, minlength=n_top + 1)
-        by_n = np.split(np.argsort(n), np.cumsum(sizes)[:-1])
-        for k in np.flatnonzero(sizes):
-            m = np.searchsorted(survivors[k], u[by_n[k], 1], side="right")
-            m += _draw(dark, u[by_n[k], 2])
-            counts[k] += np.bincount(m, minlength=counts.shape[1])
+    # One survivor guide row per number a shot can have; a wide prior gets
+    # fewer buckets per row, so the table stays within _JOINT_TABLE_ENTRIES.
+    drawn = np.flatnonzero(prior.probs)
+    buckets = min(_GUIDE_BUCKETS, 1 << _bits(max(1, _JOINT_TABLE_ENTRIES // len(drawn))))
+    table = np.empty((len(drawn), buckets), dtype=np.int16 if n_top < 2**15 else np.int32)
+    thresholds = [None] * (n_top + 1)
+    for row, n in enumerate(drawn):
+        thresholds[n], table[row] = _guide(_binomial_cdf(q, n), buckets)
+    table = table.reshape(-1)
+    row_start = np.zeros(n_top + 1, dtype=np.intp)
+    row_start[drawn] = np.arange(len(drawn)) * buckets
+    shift = 64 - _bits(buckets)
+
+    counts = np.zeros((n_top + 1, n_top + len(dark_cdf)), dtype=np.int64)
+    flat = counts.reshape(-1)
+    lock = threading.Lock()
+    workers = _workers(-(-config.shots // chunk_size))
+    chunk_size = max(1, chunk_size // workers)  # shots per draw on each thread
+
+    def shots(i: int, scratch: np.ndarray) -> None:
+        start = i * chunk_size
+        words = joint_stream(config.seed).bit_generator
+        # shot `start` begins at word 3 * start, and Philox makes 4 words per counter step
+        words.advance(3 * start // 4)
+        words.random_raw(3 * start % 4)
+        w = words.random_raw((min(chunk_size, config.shots - start), 3))
+        bucket, n, index, m = scratch[:, : len(w)]
+        _draw(incident, w[:, 0], bucket, n)
+        row_start.take(n, out=index, mode="clip")
+        np.right_shift(w[:, 1], shift, out=bucket, casting="unsafe")
+        index += bucket
+        s = table.take(index)
+        miss = np.flatnonzero(s < 0)
+        if len(miss):  # group the misses by n, one binary search per group
+            miss = miss[np.argsort(n[miss], kind="stable")]
+            for group in np.split(miss, np.flatnonzero(np.diff(n[miss])) + 1):
+                s[group] = np.searchsorted(thresholds[n[group[0]]], w[group, 1], side="right")
+        _draw(dark, w[:, 2], bucket, m)
+        m += s
+        n *= counts.shape[1]
+        m += n  # the flat index of (n, m) in counts
+        with lock:
+            np.add.at(flat, m, 1)
+
+    def scratch() -> np.ndarray:
+        return np.empty((4, min(chunk_size, config.shots)), dtype=np.intp)
+
+    _on_threads(shots, -(-config.shots // chunk_size), workers, scratch)
     return counts
 
 
@@ -177,9 +233,17 @@ def _workers(columns: int) -> int:
     return min(columns, cpus)
 
 
-def _on_threads(task: Callable[[int], object], count: int, workers: int) -> list:
-    """[task(i) for i in range(count)], computed on the calling thread and
-    workers - 1 helper threads that take the next i as each one finishes.
+def _on_threads(
+    task: Callable[[int, np.ndarray], object], count: int, workers: int, scratch: Callable[[], np.ndarray]
+) -> list:
+    """[task(i, buffers) for i in range(count)], computed on the calling
+    thread and workers - 1 helper threads that take the next i as each one
+    finishes.
+
+    Each thread makes its buffers = scratch() once and passes them to every
+    task it runs. Reusing them, rather than allocating each chunk's arrays
+    anew, keeps malloc from handing the freed arrays back to the system and
+    page-faulting them in again for the next chunk.
 
     The first exception any thread raises stops the others from taking
     further work and is re-raised here, unchanged.
@@ -190,12 +254,13 @@ def _on_threads(task: Callable[[int], object], count: int, workers: int) -> list
     errors = []
 
     def run() -> None:
+        buffers = scratch()
         while True:
             with lock:
                 if not todo:
                     return
                 i = todo.pop()
-            results[i] = task(i)
+            results[i] = task(i, buffers)
 
     def helper() -> None:
         try:
@@ -225,31 +290,45 @@ def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def _guide(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair cdf with its guide table of _GUIDE_BUCKETS buckets, for _draw.
+def _bits(x: int) -> int:
+    """floor(log2(x)) for x >= 1: the log2 of a power of two."""
+    return x.bit_length() - 1
 
-    table[b] is searchsorted(cdf, u, side="right") for every u in
-    [b, b + 1) / _GUIDE_BUCKETS when that value is the same for all of them,
-    and -1 when a CDF entry lies inside the bucket.
+
+def _guide(cdf: np.ndarray, buckets: int = _GUIDE_BUCKETS) -> tuple[np.ndarray, np.ndarray]:
+    """Pair cdf's word thresholds with its guide table of `buckets` buckets
+    (a power of two), for _draw.
+
+    A 64-bit word w stands for the uniform u = (w >> 11) * 2**-53, and a CDF
+    entry c < 1 is at or below u exactly when its threshold
+    ceil(c * 2**53) << 11 is at or below w. Entries of 1 or more are
+    dropped, since no u reaches them. Bucket b holds the words whose top
+    bits are b; table[b] is the number of thresholds at or below each of
+    them when that number is the same for all of them, and -1 when a
+    threshold lies inside the bucket.
     """
-    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-    low = np.searchsorted(cdf, edges[:-1], side="right")
-    high = np.searchsorted(cdf, edges[1:], side="left")
-    return cdf, np.where(low == high, low, -1)
+    # c * 2**53 is exact and below 2**53, so the threshold fits in 64 bits
+    thresholds = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << 11
+    shift = 64 - _bits(buckets)
+    first = np.arange(buckets, dtype=np.uint64) << shift
+    low = np.searchsorted(thresholds, first, side="right")
+    high = np.searchsorted(thresholds, first | ((1 << shift) - 1), side="right")
+    return thresholds, np.where(low == high, low, -1)
 
 
-def _draw(guide: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
-    """searchsorted(cdf, u, side="right") for uniforms 0 <= u < 1."""
-    cdf, table = guide
-    # u * 2**12 is exact and the cast to intp truncates, which is floor for
-    # u >= 0, so u lies in the bucket read; casting into `bucket` skips a
-    # float temporary as large as u
-    bucket = np.empty(len(u), dtype=np.intp)
-    np.multiply(u, _GUIDE_BUCKETS, out=bucket, casting="unsafe")
-    k = table[bucket]
-    miss = np.flatnonzero(k < 0)
-    k[miss] = np.searchsorted(cdf, u[miss], side="right")
-    return k
+def _draw(
+    guide: tuple[np.ndarray, np.ndarray], words: np.ndarray, bucket: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Write searchsorted(cdf, (words >> 11) * 2**-53, side="right") for the
+    cdf of guide into the intp array out, using the intp array bucket as
+    scratch, and return out."""
+    thresholds, table = guide
+    np.right_shift(words, 64 - _bits(len(table)), out=bucket, casting="unsafe")
+    # every bucket is in range; unlike "raise", "clip" writes straight into out
+    table.take(bucket, out=out, mode="clip")
+    miss = np.flatnonzero(out < 0)
+    out[miss] = np.searchsorted(thresholds, words[miss], side="right")
+    return out
 
 
 def _binomial_cdf(q: float, n: int) -> np.ndarray:

@@ -69,6 +69,14 @@ def _measured(u_survive, u_dark, n, params):
     return (survivors + stats.poisson.ppf(u_dark, params.lam)).astype(int)
 
 
+def _joint_by_layout(u, prior, params, shape):
+    """counts[n, m] from scipy's inverse CDFs on the rows u of the joint stream."""
+    n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
+    counts = np.zeros(shape, dtype=np.int64)
+    np.add.at(counts, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
+    return counts
+
+
 @pytest.mark.parametrize("p_loss", [0.0, 0.3, 0.5, 1.0])
 def test_matrix_columns_follow_stream_layout(p_loss):
     # shot i of column n reads row i of column_stream(seed, n).random((shots, 2))
@@ -114,8 +122,20 @@ def test_large_dark_rate_follows_stream_layout():
         np.testing.assert_array_equal(counts, manual)
 
 
+class _StuckWords:
+    """Stands in for a Philox bit generator: every word is 2**64 - 1."""
+
+    def advance(self, delta):
+        pass
+
+    def random_raw(self, size):
+        return np.full(size, 2**64 - 1, dtype=np.uint64)
+
+
 class _StuckStream:
     """Stands in for joint_stream: every uniform is the largest double below 1."""
+
+    bit_generator = _StuckWords()  # (2**64 - 1 >> 11) * 2**-53 = 1 - 2**-53
 
     def random(self, shape):
         return np.full(shape, 1.0 - 2.0**-53)
@@ -149,6 +169,7 @@ _CDFS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(cdf=_CDFS, seed=st.integers(0, 2**32 - 1))
 def test_guided_draw_equals_binary_search(cdf, seed):
+    # a word w stands for the uniform (w >> 11) * 2**-53
     inside = cdf[cdf < 1.0]
     u = np.concatenate([
         inside,
@@ -157,11 +178,21 @@ def test_guided_draw_equals_binary_search(cdf, seed):
         _BUCKET_EDGES,
         np.nextafter(_BUCKET_EDGES[1:], 0.0),
         [0.0, 1.0 - 2.0**-53],
-        np.random.default_rng(seed).random(1000),
     ])
-    u = u[u < 1.0]  # the neighbour above 1 - 2**-53 is 1, which no uniform reaches
+    k = (u[u < 1.0] * 2.0**53).astype(np.uint64)  # the neighbour above 1 - 2**-53 is 1
+    threshold = np.ceil(inside * 2.0**53).astype(np.uint64) << 11  # the first word with u >= c
+    w = np.concatenate([
+        k << 11,  # the smallest and the largest word for each u
+        k << 11 | 0x7FF,
+        threshold,
+        threshold - 1,  # wraps to 2**64 - 1 for a threshold of 0
+        threshold + 1,
+        np.random.Philox(seed).random_raw(1000),
+    ])
+    bucket, out = np.empty((2, len(w)), dtype=np.intp)
     np.testing.assert_array_equal(
-        montecarlo._draw(montecarlo._guide(cdf), u), np.searchsorted(cdf, u, side="right")
+        montecarlo._draw(montecarlo._guide(cdf), w, bucket, out),
+        np.searchsorted(cdf, (w >> 11) * 2.0**-53, side="right"),
     )
 
 
@@ -257,6 +288,7 @@ def test_one_worker_starts_no_thread(monkeypatch):
     monkeypatch.setattr(montecarlo.threading, "Thread", _NoThread)
     config = ShotConfig(params=NOISY, seed=0, shots=100)
     assert len(empirical_matrix(config, 0)) == 1
+    assert empirical_joint(config, pdc_prior(0.7, n_max=5)).sum() == 100  # one chunk
     monkeypatch.setattr(montecarlo, "_workers", lambda columns: 1)
     assert len(empirical_matrix(config, 5)) == 6
 
@@ -299,6 +331,96 @@ def test_helper_thread_errors_reach_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_joint_thread_count_never_changes_results(monkeypatch):
+    # each chunk advances its own copy of the joint stream to its first shot,
+    # and the threads share only the histogram
+    params = DetectorParams(p_loss=0.3, lam=1.3)
+    config = ShotConfig(params=params, seed=21, shots=3000)
+    u = joint_stream(21).random((3000, 3))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(montecarlo, "_workers", lambda chunks, k=workers: k)
+                counts = empirical_joint(config, prior, chunk_size=999)
+                np.testing.assert_array_equal(counts, _joint_by_layout(u, prior, params, counts.shape))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("entries", [1, 64])
+def test_joint_table_size_never_changes_results(monkeypatch, entries):
+    # a smaller stacked survivor table has fewer buckets per row, down to one
+    # bucket that always falls back to the binary search
+    monkeypatch.setattr(montecarlo, "_JOINT_TABLE_ENTRIES", entries)
+    params = DetectorParams(p_loss=0.3, lam=1.3)
+    prior = pdc_prior(0.7, n_max=6)
+    u = joint_stream(21).random((3000, 3))
+    counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior, chunk_size=999)
+    np.testing.assert_array_equal(counts, _joint_by_layout(u, prior, params, counts.shape))
+
+
+def test_joint_helper_thread_errors_reach_the_caller(monkeypatch):
+    error = ValueError("helper failed")
+    failed = threading.Event()
+
+    def stream(seed):
+        if threading.current_thread() is not threading.main_thread():
+            failed.set()
+            raise error
+        assert failed.wait(timeout=30), "no helper thread took a chunk"
+        return joint_stream(seed)
+
+    monkeypatch.setattr(montecarlo, "joint_stream", stream)
+    monkeypatch.setattr(montecarlo, "_workers", lambda chunks: 2)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as caught:
+        empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), pdc_prior(0.7, n_max=5), chunk_size=10)
+    assert caught.value is error
+    assert threading.active_count() == before
+
+
+def test_joint_threads_keep_the_shots_in_flight(monkeypatch):
+    # each of k threads draws chunk_size // k shots at a time
+    config = ShotConfig(params=NOISY, seed=0, shots=2**18)
+    prior = pdc_prior(0.7, n_max=7)
+    empirical_joint(config, prior, chunk_size=2**16)  # first-call allocations stay out of the peaks
+    peaks = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_workers", lambda chunks, k=workers: k)
+        tracemalloc.start()
+        try:
+            empirical_joint(config, prior, chunk_size=2**16)
+            _, peaks[workers] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 1.1 * peaks[1]
+
+
+def test_joint_memory_stays_near_its_result():
+    # the stacked survivor guide rows of a wide prior get fewer buckets
+    tracemalloc.start()
+    try:
+        counts = empirical_joint(ShotConfig(params=NOISY, seed=0, shots=10**4), uniform_prior(0, 2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * counts.nbytes
+
+
+@pytest.mark.parametrize(
+    "prior, rows",
+    [(uniform_prior(1000, 1000), [1000]), (custom_prior([0.0, 0.5, 0.0, 0.5, 0.0]), [1, 3])],
+)
+def test_joint_builds_survivor_rows_only_for_drawn_numbers(monkeypatch, prior, rows):
+    built = []
+    binomial_cdf = montecarlo._binomial_cdf
+    monkeypatch.setattr(montecarlo, "_binomial_cdf", lambda q, n: built.append(n) or binomial_cdf(q, n))
+    assert empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), prior).sum() == 100
+    assert built == rows
+
+
 def test_joint_chunk_layout_never_changes_results():
     config = ShotConfig(params=NOISY, seed=7, shots=4096)
     prior = pdc_prior(0.7, n_max=6)
@@ -307,6 +429,25 @@ def test_joint_chunk_layout_never_changes_results():
         np.testing.assert_array_equal(
             reference, empirical_joint(config, prior, chunk_size=chunk)
         )
+
+
+@pytest.mark.parametrize("stream", [lambda: column_stream(9, 3), lambda: joint_stream(9)])
+def test_uniforms_are_the_top_53_bits_of_raw_words(stream):
+    # the samplers read words and rely on numpy's conversion to doubles;
+    # 1001 words per call also crosses Philox's 4-word blocks mid-block
+    doubles, words = stream(), stream().bit_generator
+    for _ in range(2):
+        np.testing.assert_array_equal(doubles.random(1001), (words.random_raw(1001) >> 11) * 2.0**-53)
+
+
+def test_advanced_joint_stream_reproduces_the_full_stream():
+    # shot `start` begins at word 3 * start; 3 * start % 4 takes every residue
+    full = joint_stream(9).random((40, 3))
+    for start in range(8):
+        words = joint_stream(9).bit_generator
+        words.advance(3 * start // 4)
+        words.random_raw(3 * start % 4)
+        np.testing.assert_array_equal((words.random_raw((40 - start, 3)) >> 11) * 2.0**-53, full[start:])
 
 
 def test_column_and_joint_streams_are_disjoint():
