@@ -12,8 +12,9 @@ byte-deterministic for a fixed configuration. Each file is written whole or
 not at all: a failed write leaves the previous file in place.
 
 This module only converts text to the types the library takes; the library
-constructors check the ranges. Exit codes: 0 success, 2 usage or validation
-error (the message names the flag), 3 I/O error.
+constructors check the ranges. A run checks every value and computes before
+it creates --out, so a refused run creates nothing. Exit codes: 0 success,
+2 usage or validation error (the message names the flag), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import __version__
 from .detector import ConditionalMatrix, DetectorParams, build_matrix
 from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
 from .montecarlo import EmpiricalColumn, ShotConfig, empirical_matrix
-from .priors import NumberPrior, custom_prior, pdc_prior, uniform_prior
+from .priors import NumberPrior, _check_count, custom_prior, pdc_prior, uniform_prior
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "run", "main"]
 
@@ -77,7 +78,6 @@ class UsageError(ValueError):
 class RunConfig:
     """Validated configuration for one invocation."""
 
-    detector: DetectorParams
     shot_config: ShotConfig
     prior: NumberPrior | None
     prior_spec: str | None
@@ -114,14 +114,13 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                         lam=values["lambda"], tail_epsilon=values["tail_eps"])
     shot_config = _checked("--seed, --shots", ShotConfig, params=detector, seed=values["seed"],
                            shots=values["shots"])
-    n_max = values["n_max"]
-    rows = max(n_max, 0) + 1
+    n_max = _checked("--n-max", _check_count, values["n_max"], "n_max")
+    rows = n_max + 1
     _check_size("--n-max, --lambda", rows * (rows + math.ceil(detector.lam)) * 8)
     if "simulate" in outputs and shot_config.shots * rows > MAX_SHOTS:
         raise UsageError(f"--shots, --n-max: shots * (n_max + 1) must be at most {MAX_SHOTS}")
     prior = None if values["prior"] is None else _parse_prior(values["prior"], n_max)
     return RunConfig(
-        detector=detector,
         shot_config=shot_config,
         prior=prior,
         prior_spec=values["prior"],
@@ -133,21 +132,21 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the pipeline and write the selected artifacts.
+    """Compute the stages the selected artifacts read, then create --out and write them.
 
     Prints one line per emitted file; undefined-outcome warnings go to
     standard error.
     """
     try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        print(f"countfix: cannot create output directory: {exc}", file=sys.stderr)
-        return 3
-    try:
         result = _compute(config)
     except ValueError as exc:
         print(f"countfix: error: {exc}", file=sys.stderr)
         return 2
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        print(f"countfix: cannot create output directory: {exc}", file=sys.stderr)
+        return 3
     if result.post is not None and not result.post.defined.all():
         missing = np.flatnonzero(~result.post.defined).tolist()
         print(
@@ -255,7 +254,8 @@ def _parse_emit(text: str) -> tuple[str, ...]:
 
 def _parse_prior(text: str, n_max: int) -> NumberPrior:
     """Build the prior of a --prior spec: pdc:<chi> | uniform:<lo>:<hi> | custom:<path>."""
-    kind, *args = text.split(":")
+    kind, sep, rest = text.partition(":")
+    args = rest.split(":") if sep else []
     if kind == "pdc" and len(args) == 1:
         chi = _coerce(args[0], float, "--prior")
         return _checked("--prior, --n-max", pdc_prior, chi, n_max=n_max)
@@ -263,8 +263,8 @@ def _parse_prior(text: str, n_max: int) -> NumberPrior:
         lo, hi = (_coerce(arg, int, "--prior") for arg in args)
         _check_size("--prior", (hi + 1) * 8)
         return _checked("--prior", uniform_prior, lo, hi)
-    if kind == "custom" and len(args) == 1:
-        path = Path(args[0])
+    if kind == "custom" and sep:  # a path may itself contain ":"
+        path = Path(rest)
         raw = _read_json(path, "--prior")
         if not isinstance(raw, list):
             raise UsageError(f"--prior: {path} must hold a JSON array of nonnegative numbers")
@@ -280,7 +280,7 @@ def _parse_prior(text: str, n_max: int) -> NumberPrior:
 
 @dataclass(frozen=True)
 class _Result:
-    matrix: ConditionalMatrix
+    matrix: ConditionalMatrix | None
     prior: NumberPrior | None
     post: PosteriorMatrix | None
     report: OptimisationReport | None
@@ -288,12 +288,11 @@ class _Result:
 
 
 def _compute(config: RunConfig) -> _Result:
-    matrix = _checked("--n-max", build_matrix, config.detector, config.n_max)
-    post = report = None
-    if config.prior is not None:
+    matrix = post = report = empirical = None
+    if config.prior is not None:  # only `run` has a prior; `simulate` reads the Monte Carlo alone
+        matrix = build_matrix(config.shot_config.params, config.n_max)
         post = _checked("--prior, --n-max", posterior, matrix, config.prior)
         report = optimisation_map(post)
-    empirical = None
     if "simulate" in config.outputs:
         empirical = empirical_matrix(config.shot_config, config.n_max)
     return _Result(matrix=matrix, prior=config.prior, post=post, report=report, empirical=empirical)
@@ -391,9 +390,9 @@ def _summary_text(config: RunConfig, result: _Result) -> str:
     doc = {
         "tool": "countfix",
         "version": __version__,
-        "p_loss": float(config.detector.p_loss),
-        "lambda": float(config.detector.lam),
-        "tail_epsilon": float(config.detector.tail_epsilon),
+        "p_loss": float(config.shot_config.params.p_loss),
+        "lambda": float(config.shot_config.params.lam),
+        "tail_epsilon": float(config.shot_config.params.tail_epsilon),
         "n_max": config.n_max,
         "m_max": result.matrix.m_max,
         "prior": config.prior.label,

@@ -18,6 +18,7 @@ from oracles import render_table
 from countfix import __version__, cli
 from countfix.detector import DetectorParams, build_matrix
 from countfix.montecarlo import ShotConfig, empirical_matrix
+from countfix.priors import custom_prior
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "json"
@@ -135,6 +136,17 @@ def test_custom_prior_file(tmp_path):
     assert res.returncode == 0
     _, rows = read_csv(out / "pn.csv")
     assert [r[1] for r in rows] == ["0.25", "0.25", "0.5"]
+
+
+def test_custom_prior_path_may_contain_colon(tmp_path):
+    weights = [1, 3, 0.5, 2]
+    path = tmp_path / "w:x.json"
+    path.write_text(json.dumps(weights), encoding="utf-8")
+    out = tmp_path / "out"
+    res = run_cli("run", "--prior", f"custom:{path}", "--n-max", "4", "--emit", "pn", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    _, rows = read_csv(out / "pn.csv")
+    assert [r[1] for r in rows] == [format(x, ".12g") for x in custom_prior(weights).probs]
 
 
 def test_undefined_outcomes_warn_and_mark(tmp_path):
@@ -274,6 +286,19 @@ def test_simulate_emits_counts(tmp_path):
         assert np.all(counts[len(col.counts):, col.n] == 0)
 
 
+def test_simulate_builds_no_response_matrix(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate evaluated P(m|n)")
+
+    monkeypatch.setattr(cli, "build_matrix", refuse)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--p-loss", "0.5", "--seed", "0", "--shots", "200000",
+                     "--n-max", "9", "--out", str(out)])
+    assert code == 0
+    expected = ROOT / "results" / "simulate_lossy" / "empirical_pmn.csv"
+    assert (out / "empirical_pmn.csv").read_bytes() == expected.read_bytes()
+
+
 def test_run_can_emit_simulation_alongside_analytics(tmp_path):
     out = tmp_path / "out"
     res = run_cli(
@@ -341,6 +366,8 @@ def test_concurrent_simulations_are_byte_identical(tmp_path):
         (["run", "--lambda", "1e300", "--prior", "pdc:0.5"], "--lambda"),
         (["simulate", "--shots", str(2**33 + 1), "--n-max", "1"], "--shots, --n-max"),
         (["run", "--prior", "pdc:0.5", "--emit", "simulate", "--shots", str(10**39)], "--shots, --n-max"),
+        (["simulate", "--n-max", "-1"], "--n-max: n_max must be >= 0"),
+        (["run", "--prior", "uniform:0:30"], "--prior, --n-max"),
     ],
 )
 def test_usage_errors_exit_2(args, fragment, tmp_path):
@@ -352,6 +379,7 @@ def test_usage_errors_exit_2(args, fragment, tmp_path):
     res = run_cli(*args, "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert fragment in res.stderr
+    assert not (tmp_path / "out").exists()  # a refused run creates nothing
 
 
 def test_shot_bound_applies_only_when_simulating(tmp_path):
