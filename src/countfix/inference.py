@@ -101,7 +101,7 @@ class OptimisationReport:
 
     def __post_init__(self) -> None:
         for name in ("map", "fidelity_raw", "fidelity_opt", "outcome_marginal", "defined", "tie"):
-            arr = np.asarray(getattr(self, name))
+            arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

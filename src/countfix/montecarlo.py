@@ -24,7 +24,7 @@ u = (w >> 11) * 2**-53, numpy's own conversion to a double, so "row i of
 rng.random((shots, width))" still describes them exactly.
 
 empirical_matrix samples its columns on threads, one per usable CPU, and
-chunk_size bounds the shots in flight across all of them. Each column reads
+_CHUNK_SHOTS bounds the shots in flight across all of them. Each column reads
 its own substream, so histograms do not depend on the thread count.
 empirical_joint splits its one stream into chunks on the same threads: a
 chunk's copy of the stream is advanced to its first shot, which a
@@ -73,6 +73,7 @@ __all__ = [
 _POISSON_TABLE_TAIL = 1e-12
 _GUIDE_BUCKETS = 2**12  # a power of two: a word's bucket is its top 12 bits
 _JOINT_TABLE_ENTRIES = 2**22  # at most 8 MiB of int16 survivor guide rows
+_CHUNK_SHOTS = 2**16  # shots in flight across all threads of one sampler call
 _COLUMN_NAMESPACE = 0
 _JOINT_NAMESPACE = 1
 
@@ -102,7 +103,10 @@ class EmpiricalColumn:
     total: int
 
     def __post_init__(self) -> None:
-        c = np.array(self.counts, dtype=np.int64)
+        given = np.asarray(self.counts)
+        c = given.astype(np.int64)
+        if np.any(c != given) or np.any(c < 0):
+            raise ValueError("counts must be non-negative whole numbers")
         if c.sum() != self.total:
             raise ValueError(f"counts sum {c.sum()} does not match total {self.total}")
         c.setflags(write=False)
@@ -123,19 +127,18 @@ def joint_stream(seed: int) -> np.random.Generator:
     return _stream(seed, _JOINT_NAMESPACE, 0)
 
 
-def empirical_matrix(config: ShotConfig, n_max: int, chunk_size: int = 65536) -> list[EmpiricalColumn]:
+def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     """Simulate `shots` shots for each incident n in 0..n_max.
 
     Column histograms estimate P(.|n). The columns are sampled concurrently,
     on the calling thread and one helper thread per further usable CPU; each
-    thread draws chunk_size // threads shots at a time, so chunk_size bounds
-    the shots in flight across all threads. Neither chunk_size nor the
-    thread count ever changes the result.
+    thread draws _CHUNK_SHOTS // threads shots at a time, so _CHUNK_SHOTS
+    bounds the shots in flight across all threads. Neither the chunk size
+    nor the thread count ever changes the result.
     """
     n_max = _check_count(n_max, "n_max")
-    chunk_size = _check_count(chunk_size, "chunk_size", least=1)
     workers = _workers(n_max + 1)
-    chunk_size = max(1, chunk_size // workers)  # shots per draw on each thread
+    chunk = max(1, _CHUNK_SHOTS // workers)  # shots per draw on each thread
     dark_cdf = _poisson_cdf(config.params.lam)
     dark = _guide(dark_cdf)
 
@@ -143,31 +146,27 @@ def empirical_matrix(config: ShotConfig, n_max: int, chunk_size: int = 65536) ->
         survivors = _guide(_binomial_cdf(1.0 - config.params.p_loss, n))
         words = column_stream(config.seed, n).bit_generator
         counts = np.zeros(n + len(dark_cdf), dtype=np.int64)
-        for start in range(0, config.shots, chunk_size):
-            w = words.random_raw((min(chunk_size, config.shots - start), 2))
+        for start in range(0, config.shots, chunk):
+            w = words.random_raw((min(chunk, config.shots - start), 2))
             bucket, m, d = scratch[:, : len(w)]
             _draw(survivors, w[:, 0], bucket, m)
             m += _draw(dark, w[:, 1], bucket, d)
             counts += np.bincount(m, minlength=len(counts))
         return EmpiricalColumn(n=n, counts=counts, total=config.shots)
 
-    def scratch() -> np.ndarray:
-        return np.empty((3, min(chunk_size, config.shots)), dtype=np.intp)
-
-    return _on_threads(column, n_max + 1, workers, scratch)
+    return _on_threads(column, n_max + 1, workers, (3, min(chunk, config.shots)))
 
 
-def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65536) -> np.ndarray:
+def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
     """Joint histogram of (incident n, measured m) with n drawn from a prior.
 
     Returns an int64 array counts[n, m]. Conditioning a column of this
     histogram on its total reproduces the Bayes posterior P(n|m)
     empirically. The shots are sampled in chunks on the calling thread and
     one helper thread per further usable CPU, at most one thread per
-    chunk_size shots; each thread draws chunk_size // threads shots at a
-    time. Neither chunk_size nor the thread count ever changes the result.
+    _CHUNK_SHOTS shots; each thread draws _CHUNK_SHOTS // threads shots at a
+    time. Neither the chunk size nor the thread count ever changes the result.
     """
-    chunk_size = _check_count(chunk_size, "chunk_size", least=1)
     n_top = len(prior.probs) - 1
     q = 1.0 - config.params.p_loss
     dark_cdf = _poisson_cdf(config.params.lam)
@@ -189,16 +188,16 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65
     counts = np.zeros((n_top + 1, n_top + len(dark_cdf)), dtype=np.int64)
     flat = counts.reshape(-1)
     lock = threading.Lock()
-    workers = _workers(-(-config.shots // chunk_size))
-    chunk_size = max(1, chunk_size // workers)  # shots per draw on each thread
+    workers = _workers(-(-config.shots // _CHUNK_SHOTS))
+    chunk = max(1, _CHUNK_SHOTS // workers)  # shots per draw on each thread
 
     def shots(i: int, scratch: np.ndarray) -> None:
-        start = i * chunk_size
+        start = i * chunk
         words = joint_stream(config.seed).bit_generator
         # shot `start` begins at word 3 * start, and Philox makes 4 words per counter step
         words.advance(3 * start // 4)
         words.random_raw(3 * start % 4)
-        w = words.random_raw((min(chunk_size, config.shots - start), 3))
+        w = words.random_raw((min(chunk, config.shots - start), 3))
         bucket, n, index, m = scratch[:, : len(w)]
         _draw(incident, w[:, 0], bucket, n)
         row_start.take(n, out=index, mode="clip")
@@ -217,10 +216,7 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior, chunk_size: int = 65
         with lock:
             np.add.at(flat, m, 1)
 
-    def scratch() -> np.ndarray:
-        return np.empty((4, min(chunk_size, config.shots)), dtype=np.intp)
-
-    _on_threads(shots, -(-config.shots // chunk_size), workers, scratch)
+    _on_threads(shots, -(-config.shots // chunk), workers, (4, min(chunk, config.shots)))
     return counts
 
 
@@ -234,16 +230,17 @@ def _workers(columns: int) -> int:
 
 
 def _on_threads(
-    task: Callable[[int, np.ndarray], object], count: int, workers: int, scratch: Callable[[], np.ndarray]
+    task: Callable[[int, np.ndarray], object], count: int, workers: int, shape: tuple[int, int]
 ) -> list:
     """[task(i, buffers) for i in range(count)], computed on the calling
     thread and workers - 1 helper threads that take the next i as each one
     finishes.
 
-    Each thread makes its buffers = scratch() once and passes them to every
-    task it runs. Reusing them, rather than allocating each chunk's arrays
-    anew, keeps malloc from handing the freed arrays back to the system and
-    page-faulting them in again for the next chunk.
+    Each thread makes its buffers, an empty intp array of the given shape,
+    once and passes them to every task it runs. Reusing them, rather than
+    allocating each chunk's arrays anew, keeps malloc from handing the freed
+    arrays back to the system and page-faulting them in again for the next
+    chunk.
 
     The first exception any thread raises stops the others from taking
     further work and is re-raised here, unchanged.
@@ -254,7 +251,7 @@ def _on_threads(
     errors = []
 
     def run() -> None:
-        buffers = scratch()
+        buffers = np.empty(shape, dtype=np.intp)
         while True:
             with lock:
                 if not todo:

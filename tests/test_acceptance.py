@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from countfix import montecarlo
 from countfix.detector import DetectorParams, build_matrix, conditional_prob
 from countfix.inference import optimisation_map, posterior
 from countfix.montecarlo import ShotConfig, empirical_joint, empirical_matrix
@@ -164,7 +165,7 @@ def test_criterion_6_fidelity_improvement():
     print("PASS criterion 6: optimised fidelity beats raw pointwise, strictly off-identity")
 
 
-def test_criterion_7_byte_determinism(tmp_path):
+def test_criterion_7_byte_determinism(tmp_path, monkeypatch):
     def cli(*args):
         return subprocess.run(
             [sys.executable, "-m", "countfix", *args],
@@ -195,8 +196,10 @@ def test_criterion_7_byte_determinism(tmp_path):
 
     # in-process: batching layout must not leak into results
     params = DetectorParams(p_loss=0.5, lam=1.0)
-    a = empirical_matrix(ShotConfig(params=params, seed=9, shots=10**4), 4, chunk_size=100)
-    b = empirical_matrix(ShotConfig(params=params, seed=9, shots=10**4), 4, chunk_size=10**4)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 100)
+    a = empirical_matrix(ShotConfig(params=params, seed=9, shots=10**4), 4)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 10**4)
+    b = empirical_matrix(ShotConfig(params=params, seed=9, shots=10**4), 4)
     for ca, cb in zip(a, b):
         np.testing.assert_array_equal(ca.counts, cb.counts)
     print("PASS criterion 7: repeated and concurrent invocations byte-identical")

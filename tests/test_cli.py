@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import render_table
 
-from countfix import __version__, cli
+from countfix import __version__, cli, montecarlo
 from countfix.detector import DetectorParams, build_matrix
 from countfix.montecarlo import ShotConfig, empirical_matrix
 from countfix.priors import custom_prior
@@ -291,6 +291,17 @@ def test_simulate_builds_no_response_matrix(tmp_path, monkeypatch):
         raise AssertionError("simulate evaluated P(m|n)")
 
     monkeypatch.setattr(cli, "build_matrix", refuse)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--p-loss", "0.5", "--seed", "0", "--shots", "200000",
+                     "--n-max", "9", "--out", str(out)])
+    assert code == 0
+    expected = ROOT / "results" / "simulate_lossy" / "empirical_pmn.csv"
+    assert (out / "empirical_pmn.csv").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_simulate_bytes_do_not_depend_on_thread_count(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(montecarlo, "_workers", lambda tasks: workers)
     out = tmp_path / "out"
     code = cli.main(["simulate", "--p-loss", "0.5", "--seed", "0", "--shots", "200000",
                      "--n-max", "9", "--out", str(out)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countfix.detector import ConditionalMatrix, DetectorParams, build_matrix
-from countfix.inference import optimisation_map, posterior
+from countfix.inference import OptimisationReport, optimisation_map, posterior
 from countfix.priors import custom_prior, pdc_prior, uniform_prior
 from oracles import argmax_smallest, enum_posterior
 
@@ -218,3 +218,20 @@ def test_posterior_arrays_immutable():
     post = posterior(mat, uniform_prior(0, 4))
     for arr in (post.entries, post.outcome_marginal, post.defined):
         assert not arr.flags.writeable
+
+
+def test_report_copies_the_callers_arrays():
+    m = np.array([0, 1, 1])
+    fidelity = np.array([1.0, 0.5, 0.25])
+    defined = np.ones(3, dtype=bool)
+    report = OptimisationReport(
+        map=m, fidelity_raw=fidelity, fidelity_opt=fidelity, avg_fidelity_raw=0.5,
+        avg_fidelity_opt=0.5, outcome_marginal=fidelity, defined=defined, tie=~defined,
+    )
+    for given in (m, fidelity, defined):
+        assert given.flags.writeable
+    for name in ("map", "fidelity_raw", "fidelity_opt", "outcome_marginal", "defined", "tie"):
+        arr = getattr(report, name)
+        assert not arr.flags.writeable
+        assert not any(np.shares_memory(arr, given) for given in (m, fidelity, defined)), name
+    np.testing.assert_array_equal(report.map, m)

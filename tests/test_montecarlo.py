@@ -78,44 +78,48 @@ def _joint_by_layout(u, prior, params, shape):
 
 
 @pytest.mark.parametrize("p_loss", [0.0, 0.3, 0.5, 1.0])
-def test_matrix_columns_follow_stream_layout(p_loss):
+def test_matrix_columns_follow_stream_layout(monkeypatch, p_loss):
     # shot i of column n reads row i of column_stream(seed, n).random((shots, 2))
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1000)
     params = DetectorParams(p_loss=p_loss, lam=1.3)
     config = ShotConfig(params=params, seed=21, shots=3000)
-    for col in empirical_matrix(config, 6, chunk_size=1000):
+    for col in empirical_matrix(config, 6):
         u = column_stream(21, col.n).random((3000, 2))
         manual = np.bincount(_measured(u[:, 0], u[:, 1], col.n, params), minlength=len(col.counts))
         np.testing.assert_array_equal(col.counts, manual)
 
 
 @pytest.mark.parametrize("p_loss", [0.0, 0.3, 0.5, 1.0])
-def test_joint_follows_stream_layout(p_loss):
+def test_joint_follows_stream_layout(monkeypatch, p_loss):
     # shot i reads row i of joint_stream(seed).random((shots, 3)): the incident
     # number from the prior, then survivors and dark counts
     # uniform_prior(5, 300) leaves n < 5, and some other n in each chunk, without a shot
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 999)
     params = DetectorParams(p_loss=p_loss, lam=1.3)
     u = joint_stream(21).random((3000, 3))
     for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
-        counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior, chunk_size=999)
+        counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior)
         n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
         manual = np.zeros_like(counts)
         np.add.at(manual, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
         np.testing.assert_array_equal(counts, manual)
 
 
-def test_large_dark_rate_follows_stream_layout():
+def test_large_dark_rate_follows_stream_layout(monkeypatch):
     # at lam 800 about 4 % of the dark-count guide buckets hold a CDF entry,
     # so these draws also take the binary-search fallback
     assert (montecarlo._guide(montecarlo._poisson_cdf(800.0))[1] < 0).mean() > 0.01
     params = DetectorParams(p_loss=0.3, lam=800.0)
     config = ShotConfig(params=params, seed=21, shots=3000)
-    for col in empirical_matrix(config, 6, chunk_size=1000):
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1000)
+    for col in empirical_matrix(config, 6):
         u = column_stream(21, col.n).random((3000, 2))
         manual = np.bincount(_measured(u[:, 0], u[:, 1], col.n, params), minlength=len(col.counts))
         np.testing.assert_array_equal(col.counts, manual)
     u = joint_stream(21).random((3000, 3))
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 999)
     for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
-        counts = empirical_joint(config, prior, chunk_size=999)
+        counts = empirical_joint(config, prior)
         n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
         manual = np.zeros_like(counts)
         np.add.at(manual, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
@@ -145,8 +149,9 @@ def test_joint_never_draws_a_zero_weight_number(monkeypatch):
     # the cumulative sum of ten weights 0.1 ends at 1 - 2**-53, so that u
     # would land on n = 10, whose weight is 0
     monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _StuckStream())
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 2)
     prior = custom_prior([0.1] * 10 + [0.0])
-    counts = empirical_joint(ShotConfig(params=NOISY, seed=0, shots=5), prior, chunk_size=2)
+    counts = empirical_joint(ShotConfig(params=NOISY, seed=0, shots=5), prior)
     assert counts[:10].sum() == 5
 
 
@@ -236,11 +241,13 @@ def test_different_seeds_differ():
     assert any(not np.array_equal(ca.counts, cb.counts) for ca, cb in zip(a, b))
 
 
-def test_chunk_layout_never_changes_results():
+def test_chunk_layout_never_changes_results(monkeypatch):
     config = ShotConfig(params=NOISY, seed=7, shots=4096)
-    reference = empirical_matrix(config, 4, chunk_size=4096)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 4096)
+    reference = empirical_matrix(config, 4)
     for chunk in (1, 37, 1000, 65536):
-        again = empirical_matrix(config, 4, chunk_size=chunk)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
+        again = empirical_matrix(config, 4)
         for ca, cb in zip(reference, again):
             np.testing.assert_array_equal(ca.counts, cb.counts)
 
@@ -251,13 +258,14 @@ def test_thread_count_never_changes_results(monkeypatch):
     # makes the threads interleave often, so a column lost or written twice shows
     params = DetectorParams(p_loss=0.3, lam=1.3)
     config = ShotConfig(params=params, seed=21, shots=3000)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1000)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_workers", lambda columns, k=workers: k)
-            runs.append(empirical_matrix(config, 6, chunk_size=1000))
+            runs.append(empirical_matrix(config, 6))
     finally:
         sys.setswitchinterval(interval)
     for columns in runs:
@@ -336,6 +344,7 @@ def test_joint_thread_count_never_changes_results(monkeypatch):
     # and the threads share only the histogram
     params = DetectorParams(p_loss=0.3, lam=1.3)
     config = ShotConfig(params=params, seed=21, shots=3000)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 999)
     u = joint_stream(21).random((3000, 3))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -343,7 +352,7 @@ def test_joint_thread_count_never_changes_results(monkeypatch):
         for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
             for workers in (1, 2, 3):
                 monkeypatch.setattr(montecarlo, "_workers", lambda chunks, k=workers: k)
-                counts = empirical_joint(config, prior, chunk_size=999)
+                counts = empirical_joint(config, prior)
                 np.testing.assert_array_equal(counts, _joint_by_layout(u, prior, params, counts.shape))
     finally:
         sys.setswitchinterval(interval)
@@ -354,10 +363,11 @@ def test_joint_table_size_never_changes_results(monkeypatch, entries):
     # a smaller stacked survivor table has fewer buckets per row, down to one
     # bucket that always falls back to the binary search
     monkeypatch.setattr(montecarlo, "_JOINT_TABLE_ENTRIES", entries)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 999)
     params = DetectorParams(p_loss=0.3, lam=1.3)
     prior = pdc_prior(0.7, n_max=6)
     u = joint_stream(21).random((3000, 3))
-    counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior, chunk_size=999)
+    counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior)
     np.testing.assert_array_equal(counts, _joint_by_layout(u, prior, params, counts.shape))
 
 
@@ -374,24 +384,25 @@ def test_joint_helper_thread_errors_reach_the_caller(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "joint_stream", stream)
     monkeypatch.setattr(montecarlo, "_workers", lambda chunks: 2)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 10)
     before = threading.active_count()
     with pytest.raises(ValueError) as caught:
-        empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), pdc_prior(0.7, n_max=5), chunk_size=10)
+        empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), pdc_prior(0.7, n_max=5))
     assert caught.value is error
     assert threading.active_count() == before
 
 
 def test_joint_threads_keep_the_shots_in_flight(monkeypatch):
-    # each of k threads draws chunk_size // k shots at a time
+    # each of k threads draws _CHUNK_SHOTS // k shots at a time
     config = ShotConfig(params=NOISY, seed=0, shots=2**18)
     prior = pdc_prior(0.7, n_max=7)
-    empirical_joint(config, prior, chunk_size=2**16)  # first-call allocations stay out of the peaks
+    empirical_joint(config, prior)  # first-call allocations stay out of the peaks
     peaks = {}
     for workers in (1, 2):
         monkeypatch.setattr(montecarlo, "_workers", lambda chunks, k=workers: k)
         tracemalloc.start()
         try:
-            empirical_joint(config, prior, chunk_size=2**16)
+            empirical_joint(config, prior)
             _, peaks[workers] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -421,14 +432,14 @@ def test_joint_builds_survivor_rows_only_for_drawn_numbers(monkeypatch, prior, r
     assert built == rows
 
 
-def test_joint_chunk_layout_never_changes_results():
+def test_joint_chunk_layout_never_changes_results(monkeypatch):
     config = ShotConfig(params=NOISY, seed=7, shots=4096)
     prior = pdc_prior(0.7, n_max=6)
-    reference = empirical_joint(config, prior, chunk_size=4096)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 4096)
+    reference = empirical_joint(config, prior)
     for chunk in (1, 37, 1000, 65536):
-        np.testing.assert_array_equal(
-            reference, empirical_joint(config, prior, chunk_size=chunk)
-        )
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
+        np.testing.assert_array_equal(reference, empirical_joint(config, prior))
 
 
 @pytest.mark.parametrize("stream", [lambda: column_stream(9, 3), lambda: joint_stream(9)])
@@ -518,11 +529,6 @@ def test_shot_config_validation():
     for n_max in (-1, 2.5):
         with pytest.raises(ValueError):
             empirical_matrix(config, n_max)
-    for chunk_size in (0, -5, 2.5):
-        with pytest.raises(ValueError):
-            empirical_matrix(config, 2, chunk_size=chunk_size)
-        with pytest.raises(ValueError):
-            empirical_joint(config, pdc_prior(0.7, n_max=2), chunk_size=chunk_size)
 
 
 def test_matrix_memory_stays_near_its_result():
@@ -537,15 +543,15 @@ def test_matrix_memory_stays_near_its_result():
 
 
 def test_threads_keep_the_shots_in_flight(monkeypatch):
-    # each of k threads draws chunk_size // k shots at a time
+    # each of k threads draws _CHUNK_SHOTS // k shots at a time
     config = ShotConfig(params=NOISY, seed=0, shots=2**18)
-    empirical_matrix(config, 7, chunk_size=2**16)  # first-call allocations stay out of the peaks
+    empirical_matrix(config, 7)  # first-call allocations stay out of the peaks
     peaks = {}
     for workers in (1, 2):
         monkeypatch.setattr(montecarlo, "_workers", lambda columns, k=workers: k)
         tracemalloc.start()
         try:
-            empirical_matrix(config, 7, chunk_size=2**16)
+            empirical_matrix(config, 7)
             _, peaks[workers] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -556,3 +562,8 @@ def test_empirical_column_checks_totals():
     EmpiricalColumn(n=0, counts=np.array([3, 7]), total=10)
     with pytest.raises(ValueError):
         EmpiricalColumn(n=0, counts=np.array([3, 7]), total=11)
+    # counts are not cast to whole numbers, and none is negative
+    with pytest.raises(ValueError):
+        EmpiricalColumn(n=0, counts=[1.5, 8.5], total=9)
+    with pytest.raises(ValueError):
+        EmpiricalColumn(n=0, counts=[-1, 11], total=10)
