@@ -96,20 +96,25 @@ class ShotConfig:
 
 @dataclass(frozen=True)
 class EmpiricalColumn:
-    """Histogram of measured counts for a fixed incident photon number."""
+    """Histogram of measured counts for a fixed incident photon number n:
+    1-d counts over m = 0..n + q, so more than n entries, summing to total."""
 
     n: int
     counts: np.ndarray
     total: int
 
     def __post_init__(self) -> None:
+        n = _check_count(self.n, "n")
         given = np.asarray(self.counts)
         c = given.astype(np.int64)
         if np.any(c != given) or np.any(c < 0):
             raise ValueError("counts must be non-negative whole numbers")
+        if c.ndim != 1 or len(c) <= n:
+            raise ValueError(f"counts must be 1-d over m = 0..n + q, got shape {c.shape}")
         if c.sum() != self.total:
             raise ValueError(f"counts sum {c.sum()} does not match total {self.total}")
         c.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", c)
 
     @property
@@ -232,9 +237,9 @@ def _workers(columns: int) -> int:
 def _on_threads(
     task: Callable[[int, np.ndarray], object], count: int, workers: int, shape: tuple[int, int]
 ) -> list:
-    """[task(i, buffers) for i in range(count)], computed on the calling
-    thread and workers - 1 helper threads that take the next i as each one
-    finishes.
+    """[task(i, buffers) for i in range(count)], computed by one loop (take
+    the next i, run its task) on the calling thread and on workers - 1
+    helper threads.
 
     Each thread makes its buffers, an empty intp array of the given shape,
     once and passes them to every task it runs. Reusing them, rather than
@@ -242,8 +247,9 @@ def _on_threads(
     arrays back to the system and page-faulting them in again for the next
     chunk.
 
-    The first exception any thread raises stops the others from taking
-    further work and is re-raised here, unchanged.
+    The first exception any thread raises empties the work list, so no task
+    starts after it, and is re-raised here, unchanged, once every thread has
+    stopped.
     """
     results = [None] * count
     todo = list(range(count - 1, -1, -1))  # popped from the end, 0 first
@@ -251,32 +257,25 @@ def _on_threads(
     errors = []
 
     def run() -> None:
-        buffers = np.empty(shape, dtype=np.intp)
-        while True:
-            with lock:
-                if not todo:
-                    return
-                i = todo.pop()
-            results[i] = task(i, buffers)
-
-    def helper() -> None:
         try:
-            run()
+            buffers = np.empty(shape, dtype=np.intp)
+            while True:
+                with lock:
+                    if not todo:
+                        return
+                    i = todo.pop()
+                results[i] = task(i, buffers)
         except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
             with lock:
+                errors.append(exc)
                 todo.clear()
 
-    threads = [threading.Thread(target=helper) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=run) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
-    try:
-        run()
-    finally:
-        with lock:
-            todo.clear()  # if the calling thread failed, the helpers stop too
-        for thread in threads:
-            thread.join()
+    run()
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
     return results

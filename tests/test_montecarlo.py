@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -322,6 +323,90 @@ def test_helper_thread_errors_reach_the_caller(monkeypatch):
     # so the error is raised on a helper thread, never on the caller's
     error = ValueError("helper failed")
     failed = threading.Event()
+    opened = []
+
+    def stream(seed, n):
+        opened.append(threading.get_ident())
+        if threading.current_thread() is not threading.main_thread():
+            failed.set()
+            raise error
+        assert failed.wait(timeout=30), "no helper thread took a column"
+        return column_stream(seed, n)
+
+    monkeypatch.setattr(montecarlo, "column_stream", stream)
+    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 2)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as caught:
+        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
+    assert caught.value is error
+    assert threading.active_count() == before
+    # the helper's failure stops the caller: no thread opens a second stream
+    assert len(opened) <= 2 and len(set(opened)) == len(opened)
+
+
+def test_caller_errors_stop_the_helpers(monkeypatch):
+    # the helper holds its first column until the caller has failed, so the
+    # caller's failure must stop it from taking another
+    error = ValueError("caller failed")
+    helper_opened = threading.Event()
+    caller_failed = threading.Event()
+    opened = []
+
+    def stream(seed, n):
+        opened.append(threading.get_ident())
+        if threading.current_thread() is threading.main_thread():
+            assert helper_opened.wait(timeout=30), "no helper thread took a column"
+            caller_failed.set()
+            raise error
+        helper_opened.set()
+        assert caller_failed.wait(timeout=30), "the caller never failed"
+        return column_stream(seed, n)
+
+    monkeypatch.setattr(montecarlo, "column_stream", stream)
+    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 2)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as caught:
+        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
+    assert caught.value is error
+    assert len(opened) == 2 and len(set(opened)) == 2
+    assert threading.active_count() == before
+
+
+def test_the_first_failure_is_the_one_raised(monkeypatch):
+    # the helper fails first, then the caller fails after the helper has
+    # exited: the helper's error is the one re-raised
+    first = ValueError("helper failed first")
+    second = ValueError("caller failed second")
+    go = threading.Event()
+
+    def stream(seed, n):
+        if threading.current_thread() is not threading.main_thread():
+            assert go.wait(timeout=30), "the caller never took a column"
+            raise first
+        go.set()
+        deadline = time.monotonic() + 30
+        while threading.active_count() > before:
+            assert time.monotonic() < deadline, "the helper thread never exited"
+            time.sleep(0.001)
+        raise second
+
+    monkeypatch.setattr(montecarlo, "column_stream", stream)
+    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 2)
+    before = threading.active_count()
+    with pytest.raises(ValueError) as caught:
+        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
+    assert caught.value is first
+
+
+class _Stop(BaseException):
+    pass
+
+
+def test_helper_base_exceptions_reach_the_caller(monkeypatch):
+    # an exception that is not an Exception, like KeyboardInterrupt, still
+    # stops the work and reaches the caller unchanged
+    error = _Stop()
+    failed = threading.Event()
 
     def stream(seed, n):
         if threading.current_thread() is not threading.main_thread():
@@ -333,7 +418,7 @@ def test_helper_thread_errors_reach_the_caller(monkeypatch):
     monkeypatch.setattr(montecarlo, "column_stream", stream)
     monkeypatch.setattr(montecarlo, "_workers", lambda columns: 2)
     before = threading.active_count()
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(_Stop) as caught:
         empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
     assert caught.value is error
     assert threading.active_count() == before
@@ -374,8 +459,10 @@ def test_joint_table_size_never_changes_results(monkeypatch, entries):
 def test_joint_helper_thread_errors_reach_the_caller(monkeypatch):
     error = ValueError("helper failed")
     failed = threading.Event()
+    opened = []
 
     def stream(seed):
+        opened.append(threading.get_ident())
         if threading.current_thread() is not threading.main_thread():
             failed.set()
             raise error
@@ -390,6 +477,7 @@ def test_joint_helper_thread_errors_reach_the_caller(monkeypatch):
         empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), pdc_prior(0.7, n_max=5))
     assert caught.value is error
     assert threading.active_count() == before
+    assert len(opened) <= 2 and len(set(opened)) == len(opened)
 
 
 def test_joint_threads_keep_the_shots_in_flight(monkeypatch):
@@ -567,3 +655,7 @@ def test_empirical_column_checks_totals():
         EmpiricalColumn(n=0, counts=[1.5, 8.5], total=9)
     with pytest.raises(ValueError):
         EmpiricalColumn(n=0, counts=[-1, 11], total=10)
+    # n is a count, and counts is one column over m = 0..n + q
+    for n, counts, total in [(-1.5, [3], 3), (5, [3], 3), (0, [[1, 2], [3, 4]], 10)]:
+        with pytest.raises(ValueError):
+            EmpiricalColumn(n=n, counts=counts, total=total)
