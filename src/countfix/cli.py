@@ -301,6 +301,11 @@ def _compute(config: RunConfig) -> _Result:
 # --- rendering ---
 
 
+_NORMAL_MIN = 2.0**-1022
+# %.12g writes 999999999999.5 and every larger magnitude in exponent form, 1e+12 and up
+_EXPONENT_MIN = 999999999999.5
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
@@ -353,16 +358,21 @@ def _emit(config: RunConfig, result: _Result) -> list[str]:
 def _write_table(path, fmt, row_name, columns, values):
     """Rectangular data with a leading row-index column; JSON writes `undefined` as null.
 
-    Every cell is the `%.12g` text of its value (integer arrays render
-    exactly), and a JSON cell is the JSON reading of that text, so `3` and
-    not `3.0`. Each row is formatted by one `%` template and, for JSON, read
-    and written by the C json codec, so no Python code runs per cell.
+    A CSV cell is the `%.12g` text of its value (integer arrays render
+    exactly). A JSON cell is the JSON reading of that text, so `3` and not
+    `3.0`. For an integer, for +0 and for 2**-1022 <= |x| < 999999999999.5
+    that is the CSV text itself. Otherwise it is the shortest `repr` of the
+    double the text reads as, or `0` for -0.0: 5e-324 gives `5e-324` (CSV
+    `4.94065645841e-324`) and 999999999999.7 gives `1000000000000.0` (CSV
+    `1e+12`). Each row is formatted by one `%` template and spliced into the
+    JSON text as it is; only a row holding one of those other cells is read
+    and written again by the C json codec, so no Python code runs per cell.
     """
     width = values.shape[1]
     indexed = isinstance(columns, str)
     header = [str(i) for i in range(width)] if indexed else list(columns)
-    cell = "%d" if values.dtype.kind in "iu" else "%.12g"
-    template = ",".join([cell] * width)
+    integral = values.dtype.kind in "iu"
+    template = ",".join(["%d" if integral else "%.12g"] * width)
     # the %.12g text of a finite float never contains "nan"
     rows = [template % tuple(row.tolist()) for row in values]
     if fmt == "csv":
@@ -376,13 +386,29 @@ def _write_table(path, fmt, row_name, columns, values):
             "values": None,
         }
         # json.dumps encodes in Python when given an indent, so only the head is
-        # indented that way; the C encoder writes each row in the same layout
-        # (rows 4 spaces deep, cells 6), spliced in for "values", the last key
+        # indented that way; each row is written in the same layout (rows 4
+        # spaces deep, cells 6), spliced in for "values", the last key
         head = json.dumps(doc, indent=2, sort_keys=True).removesuffix("null\n}")
-        rows = [json.dumps(json.loads(f"[{row.replace('nan', 'null')}]"), separators=(",\n      ", ":"))
-                for row in rows]
-        body = ",\n".join(f"    [\n      {row[1:-1]}\n    ]" for row in rows)
+        if not integral:  # a row with a cell whose text is not its JSON text goes through the codec
+            for i in np.flatnonzero(_json_differs(values).any(axis=1)).tolist():
+                row = json.loads(f"[{rows[i].replace('nan', 'null')}]")
+                rows[i] = json.dumps(row, separators=(",", ":"))[1:-1]
+        cell_sep = ",\n      "
+        body = ",\n".join(f"    [\n      {row.replace('nan', 'null').replace(',', cell_sep)}\n    ]"
+                          for row in rows)
         _write_text(path, f"{head}[\n{body}\n  ]\n}}\n")
+
+
+def _json_differs(values: np.ndarray) -> np.ndarray:
+    """Where the %.12g text of a float is not its JSON text: -0.0, subnormals, |x| >= _EXPONENT_MIN.
+
+    Everywhere else, NaN aside, the text and the shortest repr of the double
+    it reads as hold the same <= 12 significant digits in the same fixed or
+    exponent form. Only boolean temporaries are allocated.
+    """
+    tiny = (values > -_NORMAL_MIN) & (values < _NORMAL_MIN)  # +-0 and subnormals
+    tiny &= np.signbit(values) | (values != 0)
+    return tiny | (values >= _EXPONENT_MIN) | (values <= -_EXPONENT_MIN)
 
 
 def _summary_text(config: RunConfig, result: _Result) -> str:

@@ -105,16 +105,18 @@ class EmpiricalColumn:
 
     def __post_init__(self) -> None:
         n = _check_count(self.n, "n")
+        total = _check_count(self.total, "total", least=1)
         given = np.asarray(self.counts)
         c = given.astype(np.int64)
         if np.any(c != given) or np.any(c < 0):
             raise ValueError("counts must be non-negative whole numbers")
         if c.ndim != 1 or len(c) <= n:
             raise ValueError(f"counts must be 1-d over m = 0..n + q, got shape {c.shape}")
-        if c.sum() != self.total:
-            raise ValueError(f"counts sum {c.sum()} does not match total {self.total}")
+        if c.sum() != total:
+            raise ValueError(f"counts sum {c.sum()} does not match total {total}")
         c.setflags(write=False)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "counts", c)
 
     @property
@@ -249,7 +251,8 @@ def _on_threads(
 
     The first exception any thread raises empties the work list, so no task
     starts after it, and is re-raised here, unchanged, once every thread has
-    stopped.
+    stopped. A helper that cannot be started does the same: the helpers
+    started before it finish their current task and are joined first.
     """
     results = [None] * count
     todo = list(range(count - 1, -1, -1))  # popped from the end, 0 first
@@ -270,12 +273,18 @@ def _on_threads(
                 errors.append(exc)
                 todo.clear()
 
-    threads = [threading.Thread(target=run) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    run()
-    for thread in threads:
-        thread.join()
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=run)
+            thread.start()
+            threads.append(thread)
+        run()
+    finally:  # empty already unless a start failed
+        with lock:
+            todo.clear()
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[0]
     return results

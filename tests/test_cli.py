@@ -222,6 +222,12 @@ _FLOAT_CELLS = (
     | st.floats(1e12, 1e16, exclude_max=True)
     | st.floats(-1e16, -1e12, exclude_min=True)
 )
+# the edges of the spliced range, one to a row among in-range cells
+_EDGE_ROWS = np.array([
+    [0.5, 999999999999.4, 3.0], [0.5, 999999999999.5, 3.0], [0.5, np.nextafter(1e12, 0), 3.0],
+    [0.5, -999999999999.7, 3.0], [0.5, 2.0**-1022, 3.0], [0.5, np.nextafter(2.0**-1022, 0), 3.0],
+    [0.5, -0.0, 3.0], [0.5, 0.0, 3.0],
+])
 _TABLE_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
 _NAMES = st.text(st.characters(codec="utf-8"), max_size=6)
 
@@ -242,11 +248,60 @@ def _tables(draw):
 @example(table=("m", "n", np.array([[np.nan]])), fmt="json")
 @example(table=("m", ["P(m)", "F_raw"], np.array([[-0.0, 1e15], [5e-324, 3.0]])), fmt="csv")
 @example(table=("n", ["P(n)"], np.array([[-(2**63)], [2**63 - 1]])), fmt="json")
+@example(table=("m", "n", _EDGE_ROWS), fmt="json")
+@example(table=("m", "n", _EDGE_ROWS), fmt="csv")
 def test_table_bytes_match_cell_by_cell_renderer(table, fmt, tmp_path):
     row_name, columns, values = table
     path = tmp_path / f"table.{fmt}"
     cli._write_table(path, fmt, row_name, columns, values)
     assert path.read_bytes() == render_table(fmt, row_name, columns, values).encode("utf-8")
+
+
+# cells whose %.12g text is their JSON text, and cells whose text is not
+_SPLICED_MAX = np.nextafter(999999999999.5, 0)
+_SPLICED_CELLS = (
+    st.floats(2.0**-1022, _SPLICED_MAX) | st.floats(-_SPLICED_MAX, -(2.0**-1022))
+    | st.sampled_from([0.0, float("nan")])
+)
+_RECODED_CELLS = (
+    st.floats(5e-324, np.nextafter(2.0**-1022, 0)) | st.floats(-np.nextafter(2.0**-1022, 0), -5e-324)
+    | st.floats(999999999999.5, allow_infinity=False)
+    | st.floats(max_value=-999999999999.5, allow_infinity=False)
+    | st.just(-0.0)
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_json_rows_splice_or_recode_like_the_cell_by_cell_renderer(data, tmp_path):
+    # wide rows of spliced cells; some rows hold one recoded cell at a random column
+    shape = (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 50)))
+    values = data.draw(hnp.arrays(np.float64, shape, elements=_SPLICED_CELLS))
+    for i in range(shape[0]):
+        if data.draw(st.booleans()):
+            values[i, data.draw(st.integers(0, shape[1] - 1))] = data.draw(_RECODED_CELLS)
+    path = tmp_path / "table.json"
+    cli._write_table(path, "json", "m", "n", values)
+    assert path.read_bytes() == render_table("json", "m", "n", values).encode("utf-8")
+
+
+def test_json_rows_skip_the_codec_unless_a_cell_needs_it(tmp_path, monkeypatch):
+    loads = json.loads
+    calls = []
+
+    def counted(text, *args, **kwargs):
+        calls.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", counted)
+    # the lossy_uniform run of the analytic-large benchmark holds no subnormal
+    assert cli.main(["run", "--n-max", "100", "--p-loss", "0.99", "--lambda", "100", "--prior",
+                     "uniform:0:100", "--format", "json", "--out", str(tmp_path)]) == 0
+    assert calls == []
+    values = build_matrix(DetectorParams(p_loss=0.99, lam=100.0), 100).entries.copy()
+    values[7, 3] = 5e-324
+    cli._write_table(tmp_path / "table.json", "json", "m", "n", values)
+    assert len(calls) == 1
 
 
 def test_config_file_with_flag_precedence(tmp_path):

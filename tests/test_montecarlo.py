@@ -318,6 +318,29 @@ def test_column_errors_reach_the_caller(monkeypatch, workers):
     assert caught.value is error
 
 
+def test_thread_start_errors_reach_the_caller(monkeypatch):
+    # the second helper cannot be started: the first, already sampling, is
+    # stopped and joined before the error reaches the caller
+    error = RuntimeError("can't start new thread")
+    start = threading.Thread.start
+    starts = []
+
+    def failing_start(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise error
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=10**5), 30)
+    assert caught.value is error
+    assert len(starts) == 2
+    assert threading.active_count() == before
+
+
 def test_helper_thread_errors_reach_the_caller(monkeypatch):
     # the calling thread holds its first column until a helper has failed,
     # so the error is raised on a helper thread, never on the caller's
@@ -656,6 +679,9 @@ def test_empirical_column_checks_totals():
     with pytest.raises(ValueError):
         EmpiricalColumn(n=0, counts=[-1, 11], total=10)
     # n is a count, and counts is one column over m = 0..n + q
-    for n, counts, total in [(-1.5, [3], 3), (5, [3], 3), (0, [[1, 2], [3, 4]], 10)]:
+    # total is a count of at least one shot: 0 would give NaN frequencies
+    for n, counts, total in [(-1.5, [3], 3), (5, [3], 3), (0, [[1, 2], [3, 4]], 10), (0, [0], 0),
+                             (0, [3], 3.0)]:
         with pytest.raises(ValueError):
             EmpiricalColumn(n=n, counts=counts, total=total)
+    assert type(EmpiricalColumn(n=0, counts=[3, 7], total=np.int64(10)).total) is int
