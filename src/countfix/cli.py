@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detector import ConditionalMatrix, DetectorParams, build_matrix
+from .detector import ConditionalMatrix, DetectorParams, _poisson_tail_quantile, build_matrix
 from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
 from .montecarlo import EmpiricalColumn, ShotConfig, empirical_matrix
 from .priors import NumberPrior, _check_count, custom_prior, pdc_prior, uniform_prior
@@ -58,9 +58,10 @@ _FLAGS = {
 
 _RUN_ONLY = ("prior", "emit")
 
-# Largest array a run may allocate, in bytes: the P(m|n) matrix, estimated in
-# integers as (n_max + 1) * (n_max + lambda + 1) float64 entries, or a uniform
-# prior. The largest configuration in use (n_max 300, lambda 5) needs 0.74 MB.
+# Largest array a run may allocate, in bytes: the P(m|n) matrix of
+# (n_max + 1) * (n_max + q + 1) float64 entries, q being build_matrix's Poisson
+# tail quantile, or a uniform prior. The largest configuration in use
+# (n_max 300, lambda 5) needs 0.79 MB.
 MAX_ARRAY_BYTES = 2**25
 
 # Most shots a simulating run may take over all its columns, shots * (n_max + 1):
@@ -116,7 +117,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                            shots=values["shots"])
     n_max = _checked("--n-max", _check_count, values["n_max"], "n_max")
     rows = n_max + 1
+    # lambda stands in for q first, so a huge lambda is refused before the quantile search
     _check_size("--n-max, --lambda", rows * (rows + math.ceil(detector.lam)) * 8)
+    tail = _poisson_tail_quantile(detector.lam, detector.tail_epsilon)
+    _check_size("--n-max, --lambda, --tail-eps", rows * (rows + tail) * 8)
     if "simulate" in outputs and shot_config.shots * rows > MAX_SHOTS:
         raise UsageError(f"--shots, --n-max: shots * (n_max + 1) must be at most {MAX_SHOTS}")
     prior = None if values["prior"] is None else _parse_prior(values["prior"], n_max)

@@ -23,14 +23,16 @@ Draws read the raw 64-bit Philox words, and a word w stands for the uniform
 u = (w >> 11) * 2**-53, numpy's own conversion to a double, so "row i of
 rng.random((shots, width))" still describes them exactly.
 
-empirical_matrix samples its columns on threads, one per usable CPU, and
-_CHUNK_SHOTS bounds the shots in flight across all of them. Each column reads
-its own substream, so histograms do not depend on the thread count.
-empirical_joint splits its one stream into chunks on the same threads: a
-chunk's copy of the stream is advanced to its first shot, which a
+empirical_matrix samples its columns on threads, one per usable CPU. Each
+column reads its own substream, so histograms do not depend on the thread
+count. empirical_joint splits its one stream into chunks on the same threads:
+a chunk's copy of the stream is advanced to its first shot, which a
 counter-based generator does without drawing the words before it, and the
-chunks add into one histogram under a lock. numpy releases the GIL while it
-generates and looks up the words, so the threads overlap.
+chunks add into one histogram under a lock. Each task, a column or a joint
+chunk, allocates its own scratch for at most one chunk of _CHUNK_SHOTS //
+threads shots, and a thread runs one task at a time, so _CHUNK_SHOTS still
+bounds the shots in flight across all threads. numpy releases the GIL while
+it generates and looks up the words, so the threads overlap.
 
 Every draw returns np.searchsorted(cdf, u, side="right") on a 1-d CDF: the
 number of entries at or below u. There is one binomial CDF per photon
@@ -149,10 +151,11 @@ def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     dark_cdf = _poisson_cdf(config.params.lam)
     dark = _guide(dark_cdf)
 
-    def column(n: int, scratch: np.ndarray) -> EmpiricalColumn:
+    def column(n: int) -> EmpiricalColumn:
         survivors = _guide(_binomial_cdf(1.0 - config.params.p_loss, n))
         words = column_stream(config.seed, n).bit_generator
         counts = np.zeros(n + len(dark_cdf), dtype=np.int64)
+        scratch = np.empty((3, min(chunk, config.shots)), dtype=np.intp)
         for start in range(0, config.shots, chunk):
             w = words.random_raw((min(chunk, config.shots - start), 2))
             bucket, m, d = scratch[:, : len(w)]
@@ -161,7 +164,7 @@ def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
             counts += np.bincount(m, minlength=len(counts))
         return EmpiricalColumn(n=n, counts=counts, total=config.shots)
 
-    return _on_threads(column, n_max + 1, workers, (3, min(chunk, config.shots)))
+    return _on_threads(column, n_max + 1, workers)
 
 
 def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
@@ -198,14 +201,14 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
     workers = _workers(-(-config.shots // _CHUNK_SHOTS))
     chunk = max(1, _CHUNK_SHOTS // workers)  # shots per draw on each thread
 
-    def shots(i: int, scratch: np.ndarray) -> None:
+    def shots(i: int) -> None:
         start = i * chunk
         words = joint_stream(config.seed).bit_generator
         # shot `start` begins at word 3 * start, and Philox makes 4 words per counter step
         words.advance(3 * start // 4)
         words.random_raw(3 * start % 4)
         w = words.random_raw((min(chunk, config.shots - start), 3))
-        bucket, n, index, m = scratch[:, : len(w)]
+        bucket, n, index, m = np.empty((4, len(w)), dtype=np.intp)
         _draw(incident, w[:, 0], bucket, n)
         row_start.take(n, out=index, mode="clip")
         np.right_shift(w[:, 1], shift, out=bucket, casting="unsafe")
@@ -223,7 +226,7 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
         with lock:
             np.add.at(flat, m, 1)
 
-    _on_threads(shots, -(-config.shots // chunk), workers, (4, min(chunk, config.shots)))
+    _on_threads(shots, -(-config.shots // chunk), workers)
     return counts
 
 
@@ -236,18 +239,12 @@ def _workers(columns: int) -> int:
     return min(columns, cpus)
 
 
-def _on_threads(
-    task: Callable[[int, np.ndarray], object], count: int, workers: int, shape: tuple[int, int]
-) -> list:
-    """[task(i, buffers) for i in range(count)], computed by one loop (take
-    the next i, run its task) on the calling thread and on workers - 1
-    helper threads.
+def _on_threads(task: Callable[[int], object], count: int, workers: int) -> list:
+    """[task(i) for i in range(count)], computed by one loop (take the next
+    i, run its task) on the calling thread and on workers - 1 helper threads.
 
-    Each thread makes its buffers, an empty intp array of the given shape,
-    once and passes them to every task it runs. Reusing them, rather than
-    allocating each chunk's arrays anew, keeps malloc from handing the freed
-    arrays back to the system and page-faulting them in again for the next
-    chunk.
+    The runner shares nothing with a task but its index: each task makes
+    and frees whatever arrays it needs.
 
     The first exception any thread raises empties the work list, so no task
     starts after it, and is re-raised here, unchanged, once every thread has
@@ -261,13 +258,12 @@ def _on_threads(
 
     def run() -> None:
         try:
-            buffers = np.empty(shape, dtype=np.intp)
             while True:
                 with lock:
                     if not todo:
                         return
                     i = todo.pop()
-                results[i] = task(i, buffers)
+                results[i] = task(i)
         except BaseException as exc:  # re-raised by the calling thread
             with lock:
                 errors.append(exc)

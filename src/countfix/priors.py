@@ -102,8 +102,10 @@ def custom_prior(weights, label: str = "custom") -> NumberPrior:
 
 
 def _check_count(value, name: str, least: int = 0) -> int:
-    """`value` as an int of at least `least`; fractional and non-numeric values are refused."""
+    """`value` as an int of at least `least`; bools, fractional and non-numeric values are refused."""
     try:
+        if isinstance(value, bool):  # operator.index takes True as 1
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

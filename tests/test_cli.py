@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import render_table
 
 from countfix import __version__, cli, montecarlo
-from countfix.detector import DetectorParams, build_matrix
+from countfix.detector import DetectorParams, _poisson_tail_quantile, build_matrix
 from countfix.montecarlo import ShotConfig, empirical_matrix
 from countfix.priors import custom_prior
 
@@ -430,6 +430,8 @@ def test_concurrent_simulations_are_byte_identical(tmp_path):
         (["run", "--n-max", "100000", "--prior", "pdc:0.5"], "--n-max"),
         (["run", "--n-max", "-3000", "--prior", "pdc:0.5"], "--n-max: n_max must be >= 0"),
         (["run", "--lambda", "1e300", "--prior", "pdc:0.5"], "--lambda"),
+        (["run", "--n-max", "1400", "--lambda", "1400", "--prior", "pdc:0.5"],
+         "--n-max, --lambda, --tail-eps"),
         (["simulate", "--shots", str(2**33 + 1), "--n-max", "1"], "--shots, --n-max"),
         (["run", "--prior", "pdc:0.5", "--emit", "simulate", "--shots", str(10**39)], "--shots, --n-max"),
         (["simulate", "--n-max", "-1"], "--n-max: n_max must be >= 0"),
@@ -455,6 +457,33 @@ def test_shot_bound_applies_only_when_simulating(tmp_path):
     res = run_cli("run", "--prior", "pdc:0.5", "--emit", "pmn", "--shots", str(10**39),
                   "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_max=st.integers(0, 2100),
+    lam=st.floats(0.0, 3000.0) | st.floats(0.0, 5e6),
+    tail_eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(1400, 1400.0, 1e-10)  # lambda's 1400 rows stand in for the tail quantile's 1645
+def test_admitted_runs_fit_their_matrix_in_the_size_limit(n_max, lam, tail_eps):
+    argv = ["run", "--n-max", str(n_max), "--lambda", repr(lam), "--tail-eps", repr(tail_eps),
+            "--prior", "pdc:0.5"]
+    try:
+        cli.parse_config(argv)
+    except cli.UsageError:
+        return
+    m_max = n_max + _poisson_tail_quantile(lam, tail_eps)  # as build_matrix sizes it
+    assert (m_max + 1) * (n_max + 1) * 8 <= cli.MAX_ARRAY_BYTES
+
+
+def test_huge_lambda_is_refused_before_the_tail_search(monkeypatch):
+    def search(lam, epsilon):
+        raise AssertionError(f"tail quantile searched for lambda {lam}")
+
+    monkeypatch.setattr(cli, "_poisson_tail_quantile", search)
+    with pytest.raises(cli.UsageError, match="--n-max, --lambda:"):
+        cli.parse_config(["run", "--lambda", "1e300", "--prior", "pdc:0.5"])
 
 
 def test_unknown_flag_exits_2():

@@ -234,3 +234,6 @@ def test_count_arguments_validated():
         conditional_prob(params, 2.5, 2)
     with pytest.raises(ValueError):
         build_matrix(params, -1)
+    for flag in (True, False):  # a bool is not a count, though it indexes as one
+        with pytest.raises(ValueError):
+            build_matrix(params, flag)

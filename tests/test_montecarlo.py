@@ -303,6 +303,14 @@ def test_one_worker_starts_no_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
+def test_runner_returns_the_task_results_in_index_order(workers):
+    def task(i):  # the runner hands a task its index and nothing else
+        return f"task {i}"
+
+    assert montecarlo._on_threads(task, 10, workers) == [task(i) for i in range(10)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_column_errors_reach_the_caller(monkeypatch, workers):
     error = ValueError("no stream for n = 5")
 
@@ -633,7 +641,7 @@ def test_shot_config_validation():
         ShotConfig(params=NOISY, seed=2**64, shots=10)
     with pytest.raises(ValueError):
         ShotConfig(params=NOISY, seed=0, shots=0)
-    for seed, shots in [(1.5, 10), (0, 2.7), ("0", 10)]:
+    for seed, shots in [(1.5, 10), (0, 2.7), ("0", 10), (True, 10), (0, True), (False, 10), (True, True)]:
         with pytest.raises(ValueError):
             ShotConfig(params=NOISY, seed=seed, shots=shots)
     config = ShotConfig(params=NOISY, seed=0, shots=10)

@@ -96,6 +96,9 @@ def test_uniform_validation():
         uniform_prior(0.5, 3)
     with pytest.raises(ValueError):
         uniform_prior(0, 3.9)
+    for lo, hi in [(False, True), (0, True), (False, 3)]:
+        with pytest.raises(ValueError):
+            uniform_prior(lo, hi)
 
 
 def test_custom_normalizes_weights():
