@@ -430,12 +430,12 @@ def test_concurrent_simulations_are_byte_identical(tmp_path):
         (["run", "--n-max", "100000", "--prior", "pdc:0.5"], "--n-max"),
         (["run", "--n-max", "-3000", "--prior", "pdc:0.5"], "--n-max: n_max must be >= 0"),
         (["run", "--lambda", "1e300", "--prior", "pdc:0.5"], "--lambda"),
-        (["run", "--n-max", "1400", "--lambda", "1400", "--prior", "pdc:0.5"],
-         "--n-max, --lambda, --tail-eps"),
         (["simulate", "--shots", str(2**33 + 1), "--n-max", "1"], "--shots, --n-max"),
         (["run", "--prior", "pdc:0.5", "--emit", "simulate", "--shots", str(10**39)], "--shots, --n-max"),
         (["simulate", "--n-max", "-1"], "--n-max: n_max must be >= 0"),
         (["run", "--prior", "uniform:0:30"], "--prior, --n-max"),
+        (["run", "--n-max", "1400", "--lambda", "1400", "--prior", "pdc:0.5"],
+         "--n-max, --lambda, --tail-eps"),
     ],
 )
 def test_usage_errors_exit_2(args, fragment, tmp_path):
