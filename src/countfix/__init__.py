@@ -5,15 +5,25 @@ matrix P(m|n), invert it against a known photon-number prior, and read off
 how each raw count should be reinterpreted and with what confidence.
 """
 
-from .detector import (
+import os
+import sys
+
+# countfix's only BLAS calls are two 1-d dot products, so the OpenBLAS thread
+# pool that numpy starts as it loads only burns CPU. OpenBLAS reads the
+# variable once, at load: once numpy is loaded, setting it would only reach
+# child processes. A user's own value wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .detector import (  # noqa: E402
     ConditionalMatrix,
     DetectorParams,
     build_matrix,
     conditional_prob,
     poisson_pmf,
 )
-from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
-from .montecarlo import (
+from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior  # noqa: E402
+from .montecarlo import (  # noqa: E402
     EmpiricalColumn,
     ShotConfig,
     column_stream,
@@ -21,7 +31,7 @@ from .montecarlo import (
     empirical_matrix,
     joint_stream,
 )
-from .priors import NumberPrior, custom_prior, pdc_prior, uniform_prior
+from .priors import NumberPrior, custom_prior, pdc_prior, uniform_prior  # noqa: E402
 
 __version__ = "0.2.0"
 

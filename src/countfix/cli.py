@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,7 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detector import ConditionalMatrix, DetectorParams, _poisson_tail_quantile, build_matrix
+from .detector import (
+    ConditionalMatrix,
+    DetectorParams,
+    _poisson_tail_quantile,
+    _tail_table,
+    build_matrix,
+)
 from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
 from .montecarlo import EmpiricalColumn, ShotConfig, empirical_matrix
 from .priors import NumberPrior, _check_count, custom_prior, pdc_prior, uniform_prior
@@ -117,8 +122,9 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                            shots=values["shots"])
     n_max = _checked("--n-max", _check_count, values["n_max"], "n_max")
     rows = n_max + 1
-    # lambda stands in for q first, so a huge lambda is refused before the quantile search
-    _check_size("--n-max, --lambda", rows * (rows + math.ceil(detector.lam)) * 8)
+    # q is never below its search table's lower edge, so checking that edge first
+    # refuses a huge lambda before the search and no run the exact check admits
+    _check_size("--n-max, --lambda", rows * (rows + _tail_table(detector.lam)[0]) * 8)
     tail = _poisson_tail_quantile(detector.lam, detector.tail_epsilon)
     _check_size("--n-max, --lambda, --tail-eps", rows * (rows + tail) * 8)
     if "simulate" in outputs and shot_config.shots * rows > MAX_SHOTS:

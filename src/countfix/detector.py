@@ -182,13 +182,21 @@ def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:
 
 
 def _poisson_tail_quantile(lam: float, epsilon: float) -> int:
-    """Smallest q with P(D > q) <= epsilon for D ~ Poisson(lam)."""
-    # Past 40 standard deviations (plus a margin for small lam) from the mean
-    # the pmf is below about e^-700, so the mass outside the table is far
-    # below any epsilon and P(D > lo) rounds to 1. Summing downward from the
-    # far tail adds the smallest terms first.
-    width = 40.0 * math.sqrt(lam) + 200.0
-    lo, hi = max(0, math.floor(lam - width)), math.ceil(lam + width)
+    """Smallest q with P(D > q) <= epsilon for D ~ Poisson(lam).
+
+    q is never below _tail_table(lam)[0], the lower edge of the search.
+    """
+    # Summing downward from the far tail adds the smallest terms first.
+    lo, hi = _tail_table(lam)
     pmf = _poisson_pmfs(lam, range(lo, hi + 1))
     tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[i] = P(lo + i < D <= hi)
     return lo + int(np.count_nonzero(tail > epsilon))
+
+
+def _tail_table(lam: float) -> tuple[int, int]:
+    """The counts lo..hi over which _poisson_tail_quantile searches."""
+    # Past 40 standard deviations (plus a margin for small lam) from the mean
+    # the pmf is below about e^-700, so the mass outside the table is far
+    # below any epsilon and P(D > lo) rounds to 1.
+    width = 40.0 * math.sqrt(lam) + 200.0
+    return max(0, math.floor(lam - width)), math.ceil(lam + width)

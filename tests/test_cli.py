@@ -486,6 +486,14 @@ def test_huge_lambda_is_refused_before_the_tail_search(monkeypatch):
         cli.parse_config(["run", "--lambda", "1e300", "--prior", "pdc:0.5"])
 
 
+def test_lambda_above_the_tail_quantile_does_not_refuse_a_run_that_fits():
+    # --tail-eps 0.9 puts q below lambda: P(m|n) is 1001 x 4129, 33,065,032 bytes
+    assert _poisson_tail_quantile(3200.0, 0.9) == 3128
+    config = cli.parse_config(["run", "--n-max", "1000", "--lambda", "3200", "--tail-eps", "0.9",
+                               "--prior", "pdc:0.5"])
+    assert config.n_max == 1000
+
+
 def test_unknown_flag_exits_2():
     res = run_cli("run", "--prior", "pdc:0.5", "--frobnicate")
     assert res.returncode == 2
@@ -521,27 +529,47 @@ def test_failed_rewrite_keeps_the_old_artifact(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["pmn.csv", "summary.json"]
 
 
-def test_import_loads_no_scipy():
+def run_python(code, openblas_threads=None):
+    """Run `code` in a fresh interpreter that finds countfix in src/.
+
+    OPENBLAS_NUM_THREADS is set to `openblas_threads` in the child, or removed.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import countfix, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    code = "import countfix, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_python(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "imports, preset, expected",
+    [
+        ("import countfix", None, "1"),
+        ("import countfix", "3", "3"),  # the user's value wins
+        ("import numpy; import countfix", None, "None"),  # too late for OpenBLAS to read it
+    ],
+)
+def test_import_pins_openblas_to_one_thread_before_numpy_loads(imports, preset, expected):
+    code = f"{imports}; import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_python(code, openblas_threads=preset) == expected
 
 
 def test_import_loads_no_executor_or_logging():
     # the Monte Carlo threads come from `threading`, which numpy imports anyway;
     # concurrent.futures would pull in logging and lengthen every cold start
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = (
         "import countfix, sys; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
 
 
 def test_version_flag():
