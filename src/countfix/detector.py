@@ -4,18 +4,18 @@ The detector is an ideal photon counter preceded by a loss channel and
 subject to Poissonian dark counts: each of the n incident photons survives
 independently with probability 1 - p_loss, and an independent Poisson(lam)
 number of dark counts is added to the survivors. The measured count m is
-therefore distributed as Binomial(n, 1 - p_loss) + Poisson(lam), and
+therefore distributed as Binomial(n, 1 - p_loss) + Poisson(lam).
 
-    P(m|n) = sum_d  pois(d; lam) * C(n, m-d) * (1-p_loss)^(m-d) * p_loss^(n-m+d)
+P(m|n) is built photon by photon from P(m|0), the Poisson pmf: one more
+photon is either lost or kept as one more count, so
 
-with the binomial coefficient taken as zero outside 0 <= m-d <= n, which
-makes the sum over d finite and exact. Every term is evaluated in the log
-domain via log-gamma so large factorials neither overflow nor round to
-spurious zeros, and 0**0 is treated as 1 so the p_loss = 0 and p_loss = 1
-edge cases come out exact. The terms of an entry are added in a fixed order,
-by increasing number of survivors s = m - d, so an entry's value does not
-depend on the size of the matrix it is computed in; build_matrix and
-conditional_prob compute the same terms and add them in that order.
+    P(m|n+1) = p_loss * P(m|n) + (1 - p_loss) * P(m-1|n).
+
+Both terms are non-negative, so nothing cancels; p_loss = 0 makes a step an
+exact shift, p_loss = 1 an exact copy, and dyadic inputs give exact entries.
+Row m of column n reads only rows m-n..m of column 0, so an entry does not
+depend on the size of its matrix, and build_matrix and conditional_prob,
+which take the same steps, agree bit for bit.
 
 All functions here are pure; built matrices are immutable and safe to share
 across threads.
@@ -75,6 +75,10 @@ class ConditionalMatrix:
     photons, for n in 0..n_max and m in 0..m_max. Matrices produced by
     build_matrix retain at least 1 - tail_epsilon of every column's mass;
     the remainder lies above m_max.
+
+    A float64 array that is read-only and owns its data is adopted as is,
+    shared with whoever else holds it; any other entries are copied, so a
+    caller's writable array is never frozen or aliased.
     """
 
     n_max: int
@@ -84,7 +88,10 @@ class ConditionalMatrix:
     def __post_init__(self) -> None:
         if self.n_max < 0 or self.m_max < 0:
             raise ValueError("n_max and m_max must be >= 0")
-        e = np.array(self.entries, dtype=float)
+        e = self.entries
+        if not (isinstance(e, np.ndarray) and e.dtype == np.float64
+                and e.flags.owndata and not e.flags.writeable):
+            e = np.array(e, dtype=float)
         if e.shape != (self.m_max + 1, self.n_max + 1):
             raise ValueError(
                 f"entries shape {e.shape} does not match "
@@ -108,27 +115,25 @@ def poisson_pmf(lam: float, d: int) -> float:
     d = _check_count(d, "d")
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-    if lam == 0.0:
-        return 1.0 if d == 0 else 0.0
-    return math.exp(-lam + d * math.log(lam) - math.lgamma(d + 1))
+    return float(_poisson_pmfs(lam, range(d, d + 1))[0])
 
 
 def conditional_prob(params: DetectorParams, m: int, n: int) -> float:
     """P(m|n): probability of measuring m counts given n incident photons.
 
-    Finite sum over the number of surviving photons s from 0 to min(m, n),
-    with the terms build_matrix computes, added in the same order, so the two
-    agree bit for bit.
+    build_matrix's recurrence on rows m - min(m, n)..m, in O(n * min(m, n)).
+    Errors from the rows missing below the slice climb one row per photon and
+    never reach row m, so the result equals build_matrix's bit for bit.
     """
     m = _check_count(m, "m")
     n = _check_count(n, "n")
     top = min(m, n)  # the most photons that can survive into m counts
-    survivors = _survivors(1.0 - params.p_loss, np.arange(top + 1), n).tolist()
-    pois = _poisson_pmfs(params.lam, range(m - top, m + 1)).tolist()
-    total = 0.0
-    for s in range(top + 1):  # in increasing s, as _response adds them
-        total += pois[top - s] * survivors[s]
-    return total
+    col = _poisson_pmfs(params.lam, range(m - top, m + 1))
+    nxt = np.empty_like(col)
+    for _ in range(n):
+        _add_photon(col, nxt, params.p_loss)
+        col, nxt = nxt, col
+    return float(col[top])
 
 
 def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
@@ -137,48 +142,37 @@ def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
     The measured range is truncated at m_max = n_max + q, where q is the
     smallest integer whose Poisson(lam) tail mass beyond it is at most
     tail_epsilon; every column then retains at least 1 - tail_epsilon of
-    its mass. Each entry adds its terms in increasing survivor count, so
-    its value does not depend on n_max or m_max, and it equals
-    conditional_prob bit for bit.
+    its mass. An entry's value does not depend on n_max or m_max, and it
+    equals conditional_prob bit for bit.
     """
     n_max = _check_count(n_max, "n_max")
     m_max = n_max + _poisson_tail_quantile(params.lam, params.tail_epsilon)
-    return ConditionalMatrix(n_max=n_max, m_max=m_max, entries=_response(params, n_max, m_max))
+    entries = _response(params, n_max, m_max)
+    entries.setflags(write=False)  # fresh and read-only: ConditionalMatrix adopts it
+    return ConditionalMatrix(n_max=n_max, m_max=m_max, entries=entries)
 
 
 def _response(params: DetectorParams, n_max: int, m_max: int) -> np.ndarray:
-    """entries[m, n] = sum over s of pois(m - s) * B[s, n], added in increasing s."""
-    s, n = np.ogrid[: n_max + 1, : n_max + 1]
-    survivors = _survivors(1.0 - params.p_loss, s, n)
-    pois = _poisson_pmfs(params.lam, range(m_max + 1))
-    entries = np.zeros((m_max + 1, n_max + 1))
-    for k in range(min(n_max, m_max) + 1):  # the terms where k photons survive
-        entries[k:, k:] += pois[: m_max + 1 - k, np.newaxis] * survivors[k, k:]
+    """entries[m, n] = P(m|n) from the Poisson column 0, one photon per column."""
+    entries = np.empty((m_max + 1, n_max + 1))
+    entries[:, 0] = _poisson_pmfs(params.lam, range(m_max + 1))
+    for n in range(n_max):
+        _add_photon(entries[:, n], entries[:, n + 1], params.p_loss)
     return entries
 
 
-def _survivors(q: float, s, n) -> np.ndarray:
-    """B[s, n] = C(n, s) q^s (1-q)^(n-s), the probability that s of n photons survive.
-
-    s and n are integer arrays or scalars that broadcast together, and no s
-    exceeds max(n); entries where s > n are never read. An entry is the same
-    elementwise expression whatever the shapes, so build_matrix and
-    conditional_prob get the same bits.
-    """
-    s, n = np.broadcast_arrays(s, n)
-    if q == 0.0:  # 0**0 = 1: every photon is lost
-        return (s == 0).astype(float)
-    if q == 1.0:  # 0**0 = 1: every photon survives
-        return (s == n).astype(float)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(int(n.max()) + 1)])
-    lost = np.maximum(n - s, 0)  # clipped where s > n, a part never read
-    log_comb = log_fact[n] - log_fact[s] - log_fact[lost]
-    return np.exp(log_comb + s * math.log(q) + lost * math.log1p(-q))
+def _add_photon(col: np.ndarray, out: np.ndarray, p_loss: float) -> None:
+    """out = P(.|n+1) over col's rows of P(.|n); out[0] gets no kept photon."""
+    np.multiply(col, p_loss, out=out)
+    out[1:] += (1.0 - p_loss) * col[:-1]
 
 
 def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:
-    """poisson_pmf(lam, d) for each d in counts."""
-    return np.array([poisson_pmf(lam, d) for d in counts])
+    """poisson_pmf(lam, d) for each d in counts, without validating lam or d."""
+    if lam == 0.0:
+        return np.array([float(d == 0) for d in counts])
+    log_lam = math.log(lam)
+    return np.array([math.exp(-lam + d * log_lam - math.lgamma(d + 1)) for d in counts])
 
 
 def _poisson_tail_quantile(lam: float, epsilon: float) -> int:

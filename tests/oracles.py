@@ -4,7 +4,8 @@ Nothing in this module imports countfix. The conditional probability of
 measuring m counts given n incident photons is computed here by exhaustive
 enumeration over (photons lost, dark counts) with plain float arithmetic,
 and alternatively by convolving scipy's binomial and Poisson pmfs. Both
-paths are deliberately different from the library's log-gamma evaluation.
+paths are deliberately different from the library's photon-by-photon
+recurrence.
 The dark-count truncation depth is found by a search on scipy's regularized
 incomplete gamma function rather than on a table of pmf values. The table
 renderer formats, and for JSON parses, one cell at a time.
