@@ -20,6 +20,7 @@ it creates --out, so a refused run creates nothing. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -360,7 +361,7 @@ def _emit(config: RunConfig, result: _Result) -> list[str]:
         lines.append(f"wrote {path} ({text})")
     if config.prior is not None:
         path = config.out_dir / "summary.json"
-        _write_text(path, _summary_text(config, result))
+        _write_text(path, [_summary_text(config, result)])
         lines.append(f"wrote {path}")
     return lines
 
@@ -384,11 +385,10 @@ def _write_table(path, fmt, row_name, columns, values):
     integral = values.dtype.kind in "iu"
     template = ",".join(["%d" if integral else "%.12g"] * width)
     # the %.12g text of a finite float never contains "nan"
-    rows = [template % tuple(row.tolist()) for row in values]
+    rows = (template % tuple(row.tolist()) for row in values)
     if fmt == "csv":
-        lines = [",".join([row_name] + header)]
-        lines += [f"{i},{row.replace('nan', UNDEFINED)}" for i, row in enumerate(rows)]
-        _write_text(path, "\n".join(lines) + "\n")
+        body = (f"{i},{row.replace('nan', UNDEFINED)}\n" for i, row in enumerate(rows))
+        _write_text(path, itertools.chain([",".join([row_name] + header) + "\n"], body))
     else:
         doc = {
             "row_index": row_name,
@@ -399,14 +399,15 @@ def _write_table(path, fmt, row_name, columns, values):
         # indented that way; each row is written in the same layout (rows 4
         # spaces deep, cells 6), spliced in for "values", the last key
         head = json.dumps(doc, indent=2, sort_keys=True).removesuffix("null\n}")
-        if not integral:  # a row with a cell whose text is not its JSON text goes through the codec
-            for i in np.flatnonzero(_json_differs(values).any(axis=1)).tolist():
-                row = json.loads(f"[{rows[i].replace('nan', 'null')}]")
-                rows[i] = json.dumps(row, separators=(",", ":"))[1:-1]
+        # a row with a cell whose text is not its JSON text goes through the codec
+        recode = np.zeros(len(values), bool) if integral else _json_differs(values).any(axis=1)
+        rows = (row.replace("nan", "null") for row in rows)
+        rows = (json.dumps(json.loads(f"[{row}]"), separators=(",", ":"))[1:-1] if again else row
+                for row, again in zip(rows, recode))
         cell_sep = ",\n      "
-        body = ",\n".join(f"    [\n      {row.replace('nan', 'null').replace(',', cell_sep)}\n    ]"
-                          for row in rows)
-        _write_text(path, f"{head}[\n{body}\n  ]\n}}\n")
+        body = ((",\n" if i else "") + f"    [\n      {row.replace(',', cell_sep)}\n    ]"
+                for i, row in enumerate(rows))
+        _write_text(path, itertools.chain([f"{head}[\n"], body, ["\n  ]\n}\n"]))
 
 
 def _json_differs(values: np.ndarray) -> np.ndarray:
@@ -443,12 +444,12 @@ def _summary_text(config: RunConfig, result: _Result) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write a temporary file beside `path` and rename it onto `path`; remove it on failure."""
+def _write_text(path: Path, chunks) -> None:
+    """Write `chunks` (strings) to a temp file beside `path` and rename it onto `path`; remove it on failure."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import _check_count
+from .priors import _Fresh, _check_count, _frozen
 
 __all__ = [
     "DetectorParams",
@@ -76,9 +76,8 @@ class ConditionalMatrix:
     build_matrix retain at least 1 - tail_epsilon of every column's mass;
     the remainder lies above m_max.
 
-    A float64 array that is read-only and owns its data is adopted as is,
-    shared with whoever else holds it; any other entries are copied, so a
-    caller's writable array is never frozen or aliased.
+    entries is a read-only copy of the caller's array; build_matrix's own is
+    adopted without a copy.
     """
 
     n_max: int
@@ -88,10 +87,7 @@ class ConditionalMatrix:
     def __post_init__(self) -> None:
         if self.n_max < 0 or self.m_max < 0:
             raise ValueError("n_max and m_max must be >= 0")
-        e = self.entries
-        if not (isinstance(e, np.ndarray) and e.dtype == np.float64
-                and e.flags.owndata and not e.flags.writeable):
-            e = np.array(e, dtype=float)
+        e = _frozen(self.entries, float)
         if e.shape != (self.m_max + 1, self.n_max + 1):
             raise ValueError(
                 f"entries shape {e.shape} does not match "
@@ -101,7 +97,6 @@ class ConditionalMatrix:
             raise ValueError("entries must be finite")
         if e.min() < 0.0 or e.max() > 1.0:
             raise ValueError("entries must be probabilities in [0, 1]")
-        e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
 
@@ -147,8 +142,7 @@ def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
     """
     n_max = _check_count(n_max, "n_max")
     m_max = n_max + _poisson_tail_quantile(params.lam, params.tail_epsilon)
-    entries = _response(params, n_max, m_max)
-    entries.setflags(write=False)  # fresh and read-only: ConditionalMatrix adopts it
+    entries = _response(params, n_max, m_max).view(_Fresh)  # adopted, not copied
     return ConditionalMatrix(n_max=n_max, m_max=m_max, entries=entries)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import ConditionalMatrix
-from .priors import NumberPrior
+from .priors import NumberPrior, _Fresh, _frozen
 
 __all__ = ["PosteriorMatrix", "OptimisationReport", "posterior", "optimisation_map"]
 
@@ -37,6 +37,9 @@ TIE_RTOL = 1e-12
 class PosteriorMatrix:
     """P(n|m) for every outcome m, with validity flags.
 
+    Arrays are read-only copies of the caller's; posterior's own are adopted,
+    and its entries are Fortran-ordered (column m is contiguous).
+
     Attributes:
         entries: entries[n, m] = P(n|m); all-zero columns where undefined.
         outcome_marginal: outcome_marginal[m] = P(m) = sum_i P(m|i) P(i).
@@ -48,18 +51,13 @@ class PosteriorMatrix:
     defined: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.array(self.entries, dtype=float)
-        marg = np.array(self.outcome_marginal, dtype=float)
-        dfn = np.array(self.defined, dtype=bool)
-        if e.ndim != 2:
+        for name, dtype in (("entries", float), ("outcome_marginal", float), ("defined", bool)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if self.entries.ndim != 2:
             raise ValueError("entries must be a 2-d matrix")
-        if marg.shape != (e.shape[1],) or dfn.shape != (e.shape[1],):
+        outcomes = (self.entries.shape[1],)
+        if self.outcome_marginal.shape != outcomes or self.defined.shape != outcomes:
             raise ValueError("outcome_marginal and defined must have one entry per outcome")
-        for arr in (e, marg, dfn):
-            arr.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "outcome_marginal", marg)
-        object.__setattr__(self, "defined", dfn)
 
     @property
     def n_max(self) -> int:
@@ -74,6 +72,9 @@ class PosteriorMatrix:
 class OptimisationReport:
     """Per-signature optimisation map and measurement fidelities.
 
+    Arrays are read-only copies of the caller's; optimisation_map's own are
+    adopted, and outcome_marginal and defined are the posterior's.
+
     Attributes:
         map: map[m] = optimised signature for raw count m; -1 where m is
             undefined under the prior.
@@ -84,8 +85,8 @@ class OptimisationReport:
             signature; NaN where undefined.
         avg_fidelity_raw: sum of P(m) * fidelity_raw[m] over defined m.
         avg_fidelity_opt: sum of P(m) * fidelity_opt[m] over defined m.
-        outcome_marginal: P(m), copied from the posterior.
-        defined: validity flags, copied from the posterior.
+        outcome_marginal: P(m), the posterior's.
+        defined: validity flags, the posterior's.
         tie: tie[m] is True where another photon number came within
             TIE_RTOL of the column maximum and the map chose the smallest.
     """
@@ -101,9 +102,7 @@ class OptimisationReport:
 
     def __post_init__(self) -> None:
         for name in ("map", "fidelity_raw", "fidelity_opt", "outcome_marginal", "defined", "tie"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), None))
 
     @property
     def m_max(self) -> int:
@@ -120,13 +119,12 @@ def posterior(matrix: ConditionalMatrix, prior: NumberPrior) -> PosteriorMatrix:
     """
     width = matrix.n_max + 1
     p = _aligned_prior(prior, width)
-    joint = matrix.entries * p[np.newaxis, :]
-    marginal = joint.sum(axis=1)
+    # the joint P(m, n) as [n, m], divided in place; an undefined column is all 0 already
+    entries = matrix.entries.T * p[:, np.newaxis]
+    marginal = entries.sum(axis=0)
     defined = marginal > 0.0
-    entries = joint.T.copy()
-    entries[:, defined] /= marginal[defined]
-    entries[:, ~defined] = 0.0
-    return PosteriorMatrix(entries=entries, outcome_marginal=marginal, defined=defined)
+    np.divide(entries, marginal, out=entries, where=defined)
+    return PosteriorMatrix(entries.view(_Fresh), marginal.view(_Fresh), defined.view(_Fresh))
 
 
 def optimisation_map(post: PosteriorMatrix) -> OptimisationReport:
@@ -149,26 +147,22 @@ def optimisation_map(post: PosteriorMatrix) -> OptimisationReport:
     f_raw = np.where(dfn, raw, np.nan)
     weights = post.outcome_marginal[dfn]
     return OptimisationReport(
-        map=mapped,
-        fidelity_raw=f_raw,
-        fidelity_opt=f_opt,
+        map=mapped.view(_Fresh),
+        fidelity_raw=f_raw.view(_Fresh),
+        fidelity_opt=f_opt.view(_Fresh),
         avg_fidelity_raw=float(weights @ f_raw[dfn]) if dfn.any() else 0.0,
         avg_fidelity_opt=float(weights @ f_opt[dfn]) if dfn.any() else 0.0,
-        outcome_marginal=post.outcome_marginal,
-        defined=dfn,
-        tie=tie,
+        outcome_marginal=post.outcome_marginal.view(_Fresh),
+        defined=dfn.view(_Fresh),
+        tie=tie.view(_Fresh),
     )
 
 
 def _aligned_prior(prior: NumberPrior, width: int) -> np.ndarray:
     p = prior.probs
-    if len(p) == width:
-        return p
-    if len(p) < width:
-        return np.concatenate([p, np.zeros(width - len(p))])
     if np.any(p[width:] != 0.0):
         raise ValueError(
             f"prior extends to n={len(p) - 1} with nonzero mass beyond the "
             f"matrix's n_max={width - 1}"
         )
-    return p[:width]
+    return np.pad(p[:width], (0, max(0, width - len(p))))

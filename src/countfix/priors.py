@@ -35,7 +35,7 @@ class NumberPrior:
     label: str
 
     def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=float)
+        p = _frozen(self.probs, float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-d vector")
         if not np.all(np.isfinite(p)):
@@ -47,7 +47,6 @@ class NumberPrior:
                 f"probs must sum to 1 within {_SUM_TOL} (got {p.sum()!r}); "
                 "use custom_prior to normalize raw weights"
             )
-        p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
     @property
@@ -70,7 +69,7 @@ def pdc_prior(chi: float, n_max: int | None = None) -> NumberPrior:
     else:
         n_max = _check_count(n_max, "n_max")
     weights = (1.0 - chi2) * chi2 ** np.arange(n_max + 1)
-    return NumberPrior(probs=weights / weights.sum(), label=f"pdc(chi={chi:g})")
+    return NumberPrior(probs=(weights / weights.sum()).view(_Fresh), label=f"pdc(chi={chi:g})")
 
 
 def uniform_prior(lo: int, hi: int) -> NumberPrior:
@@ -79,7 +78,7 @@ def uniform_prior(lo: int, hi: int) -> NumberPrior:
     hi = _check_count(hi, "hi", least=lo)
     probs = np.zeros(hi + 1)
     probs[lo:] = 1.0 / (hi - lo + 1)
-    return NumberPrior(probs=probs, label=f"uniform({lo}..{hi})")
+    return NumberPrior(probs=probs.view(_Fresh), label=f"uniform({lo}..{hi})")
 
 
 def custom_prior(weights, label: str = "custom") -> NumberPrior:
@@ -98,7 +97,7 @@ def custom_prior(weights, label: str = "custom") -> NumberPrior:
     total = w.sum()
     if total <= 0.0:
         raise ValueError("at least one weight must be positive")
-    return NumberPrior(probs=w / total, label=label)
+    return NumberPrior(probs=(w / total).view(_Fresh), label=label)
 
 
 def _check_count(value, name: str, least: int = 0) -> int:
@@ -112,6 +111,17 @@ def _check_count(value, name: str, least: int = 0) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+class _Fresh(np.ndarray):
+    """Marks an array a countfix builder has just made, for _frozen to adopt without a copy."""
+
+
+def _frozen(value, dtype) -> np.ndarray:
+    """`value` read-only: a _Fresh array adopted as is, any other value copied as `dtype`."""
+    arr = value.view(np.ndarray) if type(value) is _Fresh else np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 def _default_support(chi2: float) -> int:

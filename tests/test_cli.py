@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -527,6 +528,52 @@ def test_failed_rewrite_keeps_the_old_artifact(tmp_path):
     assert "write failed" in res.stderr
     assert (out / "pmn.csv").read_bytes() == good
     assert sorted(p.name for p in out.iterdir()) == ["pmn.csv", "summary.json"]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_table_streams_its_rows(tmp_path, fmt, lam):
+    # rows are written as they are formatted, never joined into one text
+    values = build_matrix(DetectorParams(p_loss=0.5, lam=lam), 500).entries
+    path = tmp_path / f"pmn.{fmt}"
+    tracemalloc.start()
+    try:
+        cli._write_table(path, fmt, "m", "n", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_table_stream_keeps_the_old_file(tmp_path, fmt):
+    path = tmp_path / f"table.{fmt}"
+    cli._write_table(path, fmt, "m", ["a", "b"], np.ones((4, 2)))
+    good = path.read_bytes()
+    values = np.ones((4, 2), dtype=object)
+    values[2, 1] = "not a number"  # CSV writes rows 0 and 1 before %.12g refuses it; JSON fails sooner
+    with pytest.raises(TypeError):
+        cli._write_table(path, fmt, "m", ["a", "b"], values)
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_largest_run_peaks_within_four_matrices_of_a_default_run(tmp_path):
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is in KiB on Linux, in bytes on macOS")
+    # each run is the only child of a fresh interpreter, which reports its
+    # children's peak RSS, so no other test's subprocess counts
+    def maxrss(*args):
+        code = ("import resource, subprocess, sys; "
+                f"subprocess.run([sys.executable, '-m', 'countfix', *{list(args)!r}], check=True, "
+                "stdout=subprocess.DEVNULL); "
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        return int(run_python(code)) * 1024  # ru_maxrss is in KiB on Linux
+
+    baseline = maxrss("run", "--prior", "pdc:0.7", "--out", str(tmp_path / "base"))
+    largest = maxrss("run", "--n-max", "1000", "--lambda", "0", "--prior", "pdc:0.5",
+                     "--emit", "pnm,optmap", "--out", str(tmp_path / "large"))
+    assert largest <= baseline + 4 * 1001 * 1001 * 8
 
 
 def run_python(code, openblas_threads=None):

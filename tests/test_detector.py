@@ -230,7 +230,7 @@ def test_matrix_build_peaks_near_its_result(lam):
     assert peak <= 1.2 * mat.entries.nbytes
 
 
-def test_matrix_copies_all_but_frozen_owned_float64_entries():
+def test_matrix_copies_every_callers_entries():
     writable = np.eye(3)
     mat = ConditionalMatrix(n_max=2, m_max=2, entries=writable)
     assert writable.flags.writeable
@@ -240,7 +240,17 @@ def test_matrix_copies_all_but_frozen_owned_float64_entries():
     assert not np.shares_memory(ConditionalMatrix(n_max=2, m_max=2, entries=frozen_view).entries, frozen_view)
     frozen = np.eye(3)
     frozen.setflags(write=False)
-    assert ConditionalMatrix(n_max=2, m_max=2, entries=frozen).entries is frozen
+    assert not np.shares_memory(ConditionalMatrix(n_max=2, m_max=2, entries=frozen).entries, frozen)
+
+
+def test_matrix_keeps_its_entries_when_the_caller_thaws_its_array():
+    a = np.eye(3)
+    a.setflags(write=False)
+    mat = ConditionalMatrix(n_max=2, m_max=2, entries=a)
+    a.setflags(write=True)
+    a[0, 0] = 7.0
+    assert mat.entries[0, 0] == 1.0
+    assert not mat.entries.flags.writeable
 
 
 def test_matrix_shape_validation():

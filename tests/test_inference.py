@@ -1,6 +1,7 @@
 """Bayesian inversion and signature optimisation against the enumeration oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countfix.detector import ConditionalMatrix, DetectorParams, build_matrix
-from countfix.inference import OptimisationReport, optimisation_map, posterior
-from countfix.priors import custom_prior, pdc_prior, uniform_prior
+from countfix.inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
+from countfix.priors import NumberPrior, custom_prior, pdc_prior, uniform_prior
 from oracles import argmax_smallest, enum_posterior
 
 LOSSY = DetectorParams(p_loss=0.5, lam=0.0)
@@ -220,18 +221,47 @@ def test_posterior_arrays_immutable():
         assert not arr.flags.writeable
 
 
-def test_report_copies_the_callers_arrays():
-    m = np.array([0, 1, 1])
-    fidelity = np.array([1.0, 0.5, 0.25])
-    defined = np.ones(3, dtype=bool)
-    report = OptimisationReport(
-        map=m, fidelity_raw=fidelity, fidelity_opt=fidelity, avg_fidelity_raw=0.5,
-        avg_fidelity_opt=0.5, outcome_marginal=fidelity, defined=defined, tie=~defined,
-    )
-    for given in (m, fidelity, defined):
-        assert given.flags.writeable
-    for name in ("map", "fidelity_raw", "fidelity_opt", "outcome_marginal", "defined", "tie"):
-        arr = getattr(report, name)
-        assert not arr.flags.writeable
-        assert not any(np.shares_memory(arr, given) for given in (m, fidelity, defined)), name
-    np.testing.assert_array_equal(report.map, m)
+# result type -> (its array fields, each naming the caller's array it is given; other fields)
+_RESULTS = {
+    NumberPrior: ({"probs": "probs"}, {"label": "given"}),
+    ConditionalMatrix: ({"entries": "square"}, {"n_max": 2, "m_max": 2}),
+    PosteriorMatrix: ({"entries": "square", "outcome_marginal": "probs", "defined": "flags"}, {}),
+    OptimisationReport: (
+        {"map": "map", "fidelity_raw": "probs", "fidelity_opt": "probs",
+         "outcome_marginal": "probs", "defined": "flags", "tie": "flags"},
+        {"avg_fidelity_raw": 0.5, "avg_fidelity_opt": 0.5},
+    ),
+}
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["writable", "frozen"])
+@pytest.mark.parametrize("kind", _RESULTS, ids=lambda kind: kind.__name__)
+def test_results_copy_the_callers_arrays(kind, frozen):
+    given = {"probs": np.array([0.5, 0.25, 0.25]), "square": np.eye(3),
+             "flags": np.ones(3, dtype=bool), "map": np.array([0, 1, 1])}
+    for arr in given.values():
+        arr.setflags(write=not frozen)
+    arrays, others = _RESULTS[kind]
+    result = kind(**{field: given[key] for field, key in arrays.items()}, **others)
+    for field, key in arrays.items():
+        arr = getattr(result, field)
+        assert not arr.flags.writeable, field
+        assert not any(np.shares_memory(arr, g) for g in given.values()), field
+        np.testing.assert_array_equal(arr, given[key])
+    for key, arr in given.items():
+        assert arr.flags.writeable is not frozen, key
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_posterior_peaks_near_its_result(lam):
+    # the joint is divided in place: one result-sized array, no copies
+    mat = build_matrix(DetectorParams(p_loss=0.5, lam=lam), 500)
+    prior = pdc_prior(0.9, n_max=500)
+    tracemalloc.start()
+    try:
+        post = posterior(mat, prior)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert post.entries.nbytes == mat.entries.nbytes
+    assert peak <= 1.2 * mat.entries.nbytes
