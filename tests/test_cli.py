@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -305,6 +306,88 @@ def test_json_rows_skip_the_codec_unless_a_cell_needs_it(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def _sweep_cells():
+    """Float cells that probe the numpy %.12g path: random doubles, ties, powers of ten, edges."""
+    rng = np.random.default_rng(19)
+    patterns = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+    patterns = patterns[~np.isinf(patterns)]  # NaN payloads stay, of either sign
+    ties = [math.comb(n, m) / 2**n for n in range(60) for m in range(n + 1)]
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    edges = [5e-324, 2.0**-1022, 0.0, -0.0, 1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1),
+             99999999999.5, 999999999999.5, np.finfo(float).max, np.nan]
+    structured = np.concatenate([ties, powers, edges])
+    return patterns, np.concatenate([structured, -structured])
+
+
+def _as_table(cells, width):
+    return np.append(cells, np.full(-len(cells) % width, 0.5)).reshape(-1, width)
+
+
+def test_float_tables_match_the_cell_by_cell_renderer_on_a_sweep(tmp_path):
+    patterns, structured = _sweep_cells()
+    # CSV rows are wider than one numpy block; the JSON table, whose cell-by-cell
+    # reference encodes in Python, holds a tenth of the random patterns
+    for fmt, cells, width in (("csv", np.concatenate([structured, patterns]), 5000),
+                              ("json", np.concatenate([structured, patterns[:10**5]]), 1000)):
+        values = _as_table(cells, width)
+        path = tmp_path / f"sweep.{fmt}"
+        cli._write_table(path, fmt, "m", "n", values)
+        assert path.read_bytes() == render_table(fmt, "m", "n", values).encode("utf-8"), fmt
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+                         elements=_FLOAT_CELLS),
+       chunk=st.integers(1, 30), fmt=st.sampled_from(["csv", "json"]), data=st.data())
+def test_blocks_and_undefined_columns_match_the_cell_by_cell_renderer(values, chunk, fmt, data, tmp_path,
+                                                                      monkeypatch):
+    # small blocks split rows, or hold several; a column `defined` marks False prints as NaN
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    defined = data.draw(hnp.arrays(bool, values.shape[1]))
+    path = tmp_path / f"table.{fmt}"
+    cli._write_table(path, fmt, "n", "m", values, defined)
+    expected = render_table(fmt, "n", "m", np.where(defined, values, np.nan))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+# the runs of the analytic-large benchmark at seed 5
+_ANALYTIC_LARGE = [
+    ["--n-max", "300", "--p-loss", "0.5", "--lambda", "5.0", "--prior", "pdc:0.673741", "--format", "csv"],
+    ["--n-max", "100", "--p-loss", "0.99", "--lambda", "100.0", "--prior", "uniform:0:100", "--format", "json"],
+    ["--n-max", "60", "--p-loss", "0.99", "--lambda", "800.0", "--prior", "pdc:0.745072", "--format", "csv"],
+]
+# n_max 1000 at lambda 0: 619,619 of the 1,002,001 P(n|m) cells are undefined
+_MOSTLY_UNDEFINED = ["--n-max", "1000", "--lambda", "0", "--p-loss", "0.5", "--prior", "pdc:0.5"]
+
+
+def test_few_cells_are_formatted_one_at_a_time(tmp_path, monkeypatch):
+    formatted, blocks = [], []
+    cell_text, cell_words = cli._cell_text, cli._cell_words
+    monkeypatch.setattr(cli, "_cell_text", lambda x, fmt: formatted.append(x) or cell_text(x, fmt))
+    monkeypatch.setattr(cli, "_cell_words", lambda x, fmt: blocks.append(x.size) or cell_words(x, fmt))
+    cells = 0
+    for args in _ANALYTIC_LARGE:
+        config = cli.parse_config(["run", *args, "--out", str(tmp_path)])
+        result = cli._compute(config)
+        for kind in config.outputs:
+            values = cli._ARTIFACTS[kind][4](result)
+            cells += (values[0] if isinstance(values, tuple) else values).size
+        cli._emit(config, result)
+    assert 0 < len(formatted) <= 0.01 * cells
+    for fmt in ("csv", "json"):
+        formatted.clear()
+        blocks.clear()
+        config = cli.parse_config(["run", *_MOSTLY_UNDEFINED, "--emit", "pnm", "--format", fmt,
+                                   "--out", str(tmp_path)])
+        result = cli._compute(config)
+        cli._emit(config, result)
+        # undefined cells skip the arithmetic and never reach Python one at a time
+        assert sum(blocks) == result.post.defined.sum() * result.post.entries.shape[0]
+        assert len(formatted) <= 0.01 * sum(blocks)
+        assert not np.isnan(formatted).any()
+
+
 def test_config_file_with_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -543,6 +626,21 @@ def test_write_table_streams_its_rows(tmp_path, fmt, lam):
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pnm_table_holds_no_copy_of_the_posterior(tmp_path, fmt):
+    # undefined columns are written as such block by block, not masked in a copy
+    config = cli.parse_config(["run", *_MOSTLY_UNDEFINED, "--emit", "pnm", "--format", fmt,
+                               "--out", str(tmp_path)])
+    result = cli._compute(config)
+    tracemalloc.start()
+    try:
+        cli._emit(config, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * result.post.entries.nbytes
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
