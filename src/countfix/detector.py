@@ -103,9 +103,9 @@ class ConditionalMatrix:
 def poisson_pmf(lam: float, d: int) -> float:
     """Probability of d dark counts under a Poisson law with mean lam.
 
-    Evaluated as exp(-lam + d*log(lam) - lgamma(d+1)), so rates up to 1e3
-    and counts up to 1e4 stay inside float range until the final
-    exponentiation.
+    Read from the table that column 0 of build_matrix reads, so the two agree
+    bit for bit; each call builds that table, O(sqrt(lam)) entries. A count
+    whose pmf is below the smallest subnormal double gets 0.
     """
     d = _check_count(d, "d")
     if not (lam >= 0.0 and math.isfinite(lam)):
@@ -163,10 +163,19 @@ def _add_photon(col: np.ndarray, out: np.ndarray, p_loss: float) -> None:
 
 def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:
     """poisson_pmf(lam, d) for each d in counts, without validating lam or d."""
-    if lam == 0.0:
-        return np.array([float(d == 0) for d in counts])
-    log_lam = math.log(lam)
-    return np.array([math.exp(-lam + d * log_lam - math.lgamma(d + 1)) for d in counts])
+    # The ratios P(d+1)/P(d) = lam/(d+1), multiplied outward from the mode k,
+    # give the pmf over _tail_table(lam) up to one factor, which the sum fixes.
+    lo, hi = _tail_table(lam)
+    k = math.floor(lam)
+    up = np.cumprod(lam / np.arange(k + 1, hi + 1))
+    down = np.cumprod(np.arange(k, lo, -1) / lam)
+    total = math.fsum([1.0, *up.tolist(), *down.tolist()])  # mode outward: fsum stays fast
+    table = np.concatenate((down[::-1], [1.0], up)) / total
+    out = np.zeros(len(counts))  # a count outside the table gets 0
+    a = max(counts.start, lo)
+    b = max(a, min(counts.stop, hi + 1))
+    out[a - counts.start : b - counts.start] = table[a - lo : b - lo]
+    return out
 
 
 def _poisson_tail_quantile(lam: float, epsilon: float) -> int:
@@ -184,7 +193,8 @@ def _poisson_tail_quantile(lam: float, epsilon: float) -> int:
 def _tail_table(lam: float) -> tuple[int, int]:
     """The counts lo..hi over which _poisson_tail_quantile searches."""
     # Past 40 standard deviations (plus a margin for small lam) from the mean
-    # the pmf is below about e^-700, so the mass outside the table is far
-    # below any epsilon and P(D > lo) rounds to 1.
+    # the pmf is below e^-759.4 (worst near lam 323; checked up to lam 1e8),
+    # under 2^-1074: the table holds every pmf a double can carry, and
+    # P(D > lo) rounds to 1.
     width = 40.0 * math.sqrt(lam) + 200.0
     return max(0, math.floor(lam - width)), math.ceil(lam + width)

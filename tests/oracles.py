@@ -8,12 +8,15 @@ paths are deliberately different from the library's photon-by-photon
 recurrence.
 The dark-count truncation depth is found by a search on scipy's regularized
 incomplete gamma function rather than on a table of pmf values. The table
-renderer formats, and for JSON parses, one cell at a time.
+renderer formats, and for JSON parses, one cell at a time. The Poisson pmf's
+reference values come from mpmath at 50 significant digits.
 """
 
+import decimal
 import json
 import math
 
+import mpmath
 import numpy as np
 from scipy import special, stats
 
@@ -59,6 +62,33 @@ def _poisson_tail(lam: float, q: int) -> float:
     # P(D > q) equals the lower regularized incomplete gamma P(q+1, lam),
     # which stays accurate far below float cancellation limits.
     return float(special.gammainc(q + 1, lam))
+
+
+def poisson_pmf_exact(lam: float, d: int) -> mpmath.mpf:
+    """Poisson(lam) pmf at d to 50 significant digits, lam read as its exact double."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam)
+        return mpmath.exp(-x + d * mpmath.log(x) - mpmath.loggamma(d + 1))
+
+
+def poisson_text_errors(lam: float, counts, values) -> tuple[int, float]:
+    """(wrong cells, worst relative error) of values[i] as the pmf at counts[i].
+
+    A cell is wrong when its `%.12g` text is not the correctly rounded 12-digit
+    text of the exact pmf. Only cells whose exact value is a normal double,
+    at least 2^-1022, are counted.
+    """
+    twelve = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
+    wrong, worst = 0, 0.0
+    for d, v in zip(counts, values):
+        v = float(v)
+        exact = poisson_pmf_exact(lam, d)
+        if exact < mpmath.ldexp(1, -1022):
+            continue
+        text = format(float(twelve.plus(decimal.Decimal(mpmath.nstr(exact, 40)))), ".12g")
+        wrong += format(v, ".12g") != text
+        worst = max(worst, float(abs(v - exact) / exact))
+    return wrong, worst
 
 
 def enum_matrix(p_loss: float, lam: float, n_max: int, m_max: int) -> np.ndarray:

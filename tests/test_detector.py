@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,10 +16,18 @@ from countfix.detector import (
     DetectorParams,
     build_matrix,
     conditional_prob,
+    _poisson_pmfs,
     _poisson_tail_quantile,
+    _tail_table,
     poisson_pmf,
 )
-from oracles import conv_column, enum_conditional, poisson_tail_quantile
+from oracles import (
+    conv_column,
+    enum_conditional,
+    poisson_pmf_exact,
+    poisson_tail_quantile,
+    poisson_text_errors,
+)
 
 # smallest q with P(Poisson(lam) > q) <= 1e-10, checked against scipy
 EXPECTED_QUANTILES = {0.0: 0, 0.5: 10, 1.0: 12, 2.0: 16, 5.0: 25, 10.0: 36}
@@ -74,6 +83,44 @@ def test_conditional_no_loss_is_shifted_dark_counts():
         for m in range(8):
             expected = poisson_pmf(0.8, m - n) if m >= n else 0.0
             assert conditional_prob(params, m, n) == expected
+
+
+def test_poisson_pmf_keeps_a_tiny_rate():
+    assert poisson_pmf(1e-300, 1) == 1e-300
+
+
+def test_poisson_pmf_is_zero_outside_the_table():
+    assert poisson_pmf(1.0, 10**6) == 0.0
+
+
+def test_no_dark_counts_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mat = build_matrix(DetectorParams(p_loss=0.3, lam=0.0), 5)
+    assert mat.m_max == 5
+
+
+# Every count whose pmf is a normal double at lam 5, 100 and 800; at lam 1e5,
+# every 7th count within 2000 of the mode (572 cells).
+@pytest.mark.parametrize("lam", [5.0, 100.0, 800.0, 1e5])
+def test_poisson_cells_print_their_correctly_rounded_text(lam):
+    lo, hi = _tail_table(lam)
+    counts = range(98000, 102001, 7) if lam == 1e5 else range(lo, hi + 1)
+    values = _poisson_pmfs(lam, range(counts.start, counts.stop))[:: counts.step]
+    wrong, worst = poisson_text_errors(lam, counts, values)
+    assert wrong == 0
+    assert worst <= 2e-14
+
+
+# The table holds every pmf value a double can carry: past either edge the
+# pmf is below the smallest subnormal, 2^-1074. The largest such value,
+# e^-759.4, is just past the upper edge near lam 323.
+@pytest.mark.parametrize("lam", [1e-300, 1e-6, 1.0, 10.0, 300.0, 2000.0, 1e4, 1e6, 1e8])
+def test_poisson_table_misses_no_representable_value(lam):
+    lo, hi = _tail_table(lam)
+    edges = [hi + 1] + ([lo - 1] if lo > 0 else [])
+    for d in edges:
+        assert poisson_pmf_exact(lam, d) < 2.0**-1074, d
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,13 +214,21 @@ def test_matrix_total_loss_concentrates_at_zero():
 
 
 # (0, 0.8) and (1, 1.7) reach the exact no-loss and total-loss branches, and
-# (0.99, 800) the dark-count-swamped regime with a deep m range.
-@pytest.mark.parametrize("p_loss, lam", [(0.35, 1.3), (0.0, 0.8), (1.0, 1.7), (0.99, 800.0)])
+# (0.99, 800) the dark-count-swamped regime with a deep m range. At lam 2500
+# and 1e4 the Poisson table starts above count 0; there every row within 10
+# of its lower edge is checked, and every 41st row elsewhere.
+@pytest.mark.parametrize(
+    "p_loss, lam", [(0.35, 1.3), (0.0, 0.8), (1.0, 1.7), (0.99, 800.0), (0.3, 2500.0), (0.99, 1e4)]
+)
 def test_matrix_entries_match_scalar_evaluation_bitwise(p_loss, lam):
     params = DetectorParams(p_loss=p_loss, lam=lam)
     mat = build_matrix(params, 6)
+    lo = _tail_table(lam)[0]
+    rows = range(mat.m_max + 1)
+    if lo > 0:
+        rows = sorted({*range(lo - 10, lo + 10), *rows[::41]})
     for n in range(7):
-        for m in range(mat.m_max + 1):
+        for m in rows:
             assert mat.entries[m, n] == conditional_prob(params, m, n)
 
 
