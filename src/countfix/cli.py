@@ -6,12 +6,8 @@
 `run` evaluates the analytic pipeline and writes the selected artifacts
 (pmn, pn, pnm, optmap, fidelity, simulate) plus summary.json; `simulate`
 only runs the seeded Monte Carlo and writes the empirical count matrix.
-Flags override values from an optional --config JSON file. All outputs are
-plain rectangular data rendered at 12 significant digits and are
-byte-deterministic for a fixed configuration: float tables hold the exact
-`%.12g` text of each cell, formatted by numpy a block of cells at a time.
-Each file is written whole or not at all: a failed write leaves the
-previous file in place.
+Flags override values from an optional --config JSON file. The tables are
+written by `countfix._tables`, which owns their byte-stable text format.
 
 This module only converts text to the types the library takes; the library
 constructors check the ranges. A run checks every value and computes before
@@ -22,9 +18,7 @@ it creates --out, so a refused run creates nothing. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,13 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detector import (
-    ConditionalMatrix,
-    DetectorParams,
-    _poisson_tail_quantile,
-    _tail_table,
-    build_matrix,
-)
+from ._tables import _fmt, _write_table, _write_text
+from .detector import ConditionalMatrix, DetectorParams, _poisson_tail_quantile, _tail_table, build_matrix
 from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
 from .montecarlo import EmpiricalColumn, ShotConfig, empirical_matrix
 from .priors import NumberPrior, _check_count, custom_prior, pdc_prior, uniform_prior
@@ -75,8 +64,6 @@ MAX_ARRAY_BYTES = 2**25
 # Most shots a simulating run may take over all its columns, shots * (n_max + 1):
 # about 850 times the default run (10**6 shots, n_max 19).
 MAX_SHOTS = 2**34
-
-UNDEFINED = "undefined"
 
 
 class UsageError(ValueError):
@@ -294,7 +281,6 @@ def _parse_prior(text: str, n_max: int) -> NumberPrior:
 @dataclass(frozen=True)
 class _Result:
     matrix: ConditionalMatrix | None
-    prior: NumberPrior | None
     post: PosteriorMatrix | None
     report: OptimisationReport | None
     empirical: list[EmpiricalColumn] | None
@@ -308,24 +294,10 @@ def _compute(config: RunConfig) -> _Result:
         report = optimisation_map(post)
     if "simulate" in config.outputs:
         empirical = empirical_matrix(config.shot_config, config.n_max)
-    return _Result(matrix=matrix, prior=config.prior, post=post, report=report, empirical=empirical)
+    return _Result(matrix=matrix, post=post, report=report, empirical=empirical)
 
 
-# --- rendering ---
-#
-# Float tables are formatted by numpy a block of cells at a time, into records
-# of NUL-padded text that bytes.translate compacts; Python formats only the
-# cells numpy cannot round safely. Other tables keep a `%` template per row.
-
-
-_NORMAL_MIN = 2.0**-1022
-# %.12g writes 999999999999.5 and every larger magnitude in exponent form, 1e+12 and up
-_EXPONENT_MIN = 999999999999.5
-_CHUNK = 4096  # cells per block
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+# --- output ---
 
 
 def _counts(columns: list[EmpiricalColumn]) -> np.ndarray:
@@ -337,22 +309,22 @@ def _counts(columns: list[EmpiricalColumn]) -> np.ndarray:
 # artifact -> (file stem, row name, columns, description, values). `columns`
 # names index-labelled columns, or is the list of value names; the description
 # is formatted with the table's shape, the config and the result; `values` maps
-# the result to a 2-d array holding NaN where an outcome is undefined, or to
+# them to a 2-d array holding NaN where an outcome is undefined, or to
 # (array, defined) where the boolean `defined` marks the columns to print.
 _ARTIFACTS = {
-    "pmn": ("pmn", "m", "n", "P(m|n), {rows} x {cols}", lambda r: r.matrix.entries),
-    "pn": ("pn", "n", ["P(n)"], "{result.prior.label}, {rows} entries",
-           lambda r: r.prior.probs[:, np.newaxis]),
-    "pnm": ("pnm", "n", "m", "P(n|m), {rows} x {cols}", lambda r: (r.post.entries, r.post.defined)),
+    "pmn": ("pmn", "m", "n", "P(m|n), {rows} x {cols}", lambda c, r: r.matrix.entries),
+    "pn": ("pn", "n", ["P(n)"], "{config.prior.label}, {rows} entries",
+           lambda c, r: c.prior.probs[:, np.newaxis]),
+    "pnm": ("pnm", "n", "m", "P(n|m), {rows} x {cols}", lambda c, r: (r.post.entries, r.post.defined)),
     "optmap": ("optmap", "m", ["m_opt"], "optimisation map, {rows} signatures",
-               lambda r: np.where(r.report.defined, r.report.map, np.nan)[:, np.newaxis]),
+               lambda c, r: np.where(r.report.defined, r.report.map, np.nan)[:, np.newaxis]),
     # the fidelities are NaN exactly where an outcome is undefined, and P(m) is 0
     "fidelity": ("fidelity", "m", ["P(m)", "F_raw", "F_opt"], "fidelities, {rows} signatures",
-                 lambda r: np.column_stack([r.report.outcome_marginal, r.report.fidelity_raw,
-                                            r.report.fidelity_opt])),
+                 lambda c, r: np.column_stack([r.report.outcome_marginal, r.report.fidelity_raw,
+                                               r.report.fidelity_opt])),
     "simulate": ("empirical_pmn", "m", "n",
                  "empirical counts, seed={config.shot_config.seed}, shots={config.shot_config.shots}",
-                 lambda r: _counts(r.empirical)),
+                 lambda c, r: _counts(r.empirical)),
 }
 
 
@@ -360,7 +332,7 @@ def _emit(config: RunConfig, result: _Result) -> list[str]:
     lines = []
     for kind in config.outputs:
         stem, row_name, columns, description, values_of = _ARTIFACTS[kind]
-        values = values_of(result)
+        values = values_of(config, result)
         values, defined = values if isinstance(values, tuple) else (values, None)
         path = config.out_dir / f"{stem}.{config.format}"
         _write_table(path, config.format, row_name, columns, values, defined)
@@ -369,208 +341,9 @@ def _emit(config: RunConfig, result: _Result) -> list[str]:
         lines.append(f"wrote {path} ({text})")
     if config.prior is not None:
         path = config.out_dir / "summary.json"
-        _write_text(path, [_summary_text(config, result)])
+        _write_text(path, [_summary_text(config, result).encode()])
         lines.append(f"wrote {path}")
     return lines
-
-
-def _write_table(path, fmt, row_name, columns, values, defined=None):
-    """Rectangular data with a leading row-index column; JSON writes `undefined` as null.
-
-    A CSV cell is the `%.12g` text of its value (integer arrays render
-    exactly), `undefined` for NaN and, in a float table, for every cell of a
-    column that `defined` marks False. A JSON cell is the JSON reading of that
-    text, so `3` and not `3.0`. For an integer, for +0 and for
-    2**-1022 <= |x| < 999999999999.5 that is the CSV text itself. Otherwise it
-    is the shortest `repr` of the double the text reads as, or `0` for -0.0:
-    5e-324 gives `5e-324` (CSV `4.94065645841e-324`) and 999999999999.7 gives
-    `1000000000000.0` (CSV `1e+12`). The text streams to the file.
-    """
-    width = values.shape[1]
-    indexed = isinstance(columns, str)
-    header = [str(i) for i in range(width)] if indexed else list(columns)
-    if fmt == "csv":
-        head, tail = ",".join([row_name] + header) + "\n", ""
-    else:
-        doc = {
-            "row_index": row_name,
-            "columns": [columns + str(i) for i in range(width)] if indexed else header,
-            "values": None,
-        }
-        # json.dumps encodes in Python when given an indent, so only the head is
-        # indented that way; the rows are written in the same layout (rows 4
-        # spaces deep, cells 6), spliced in for "values", the last key
-        head = json.dumps(doc, indent=2, sort_keys=True).removesuffix("null\n}") + "[\n"
-        tail = "\n  ]\n}\n"
-    if values.dtype.kind == "f":
-        body = _float_rows(values, defined, fmt)
-    else:
-        body = _template_rows(values, fmt)
-    _write_text(path, itertools.chain([head], body, [tail]))
-
-
-# the text between cells and at the end of a row
-_LAYOUT = {"csv": (",", "\n"), "json": (",\n      ", "\n    ]")}
-
-
-def _row_start(fmt: str, i: int) -> str:
-    if fmt == "csv":
-        return f"{i},"
-    return ",\n    [\n      " if i else "    [\n      "
-
-
-def _template_rows(values, fmt):
-    """Rows formatted by one `%d` (integers) or `%.12g` template each."""
-    sep, end = _LAYOUT[fmt]
-    template = ",".join(["%d" if values.dtype.kind in "iu" else "%.12g"] * values.shape[1])
-    token = UNDEFINED if fmt == "csv" else "null"
-    for i, row in enumerate(values):
-        # the %.12g text of a finite float never contains "nan"
-        text = (template % tuple(row.tolist())).replace("nan", token).replace(",", sep)
-        yield _row_start(fmt, i) + text + end
-
-
-def _float_rows(values, defined, fmt):
-    """The rows of a float table as text, _CHUNK cells at a time.
-
-    A cell is six NUL-padded little-endian uint64 words: sign and `0.000`
-    lead, 12 digits one per 16-bit lane (the high byte holds the point),
-    exponent, separator. A row starts with two words of prefix.
-    """
-    nrows, width = values.shape
-    step = max(1, _CHUNK // width)
-    for r0 in range(0, nrows, step):
-        r1 = min(r0 + step, nrows)
-        starts = np.array([_row_start(fmt, i).encode() for i in range(r0, r1)], "S16")
-        for c0 in range(0, width, _CHUNK):  # a row wider than a block spans several
-            c1 = min(c0 + _CHUNK, width)
-            block = np.asarray(values[r0:r1, c0:c1], dtype=np.float64)
-            if defined is None or defined[c0:c1].all():
-                words = _cell_words(block.ravel(), fmt).reshape(r1 - r0, c1 - c0, 6)
-            else:  # undefined columns get the token and skip the arithmetic
-                cols = np.flatnonzero(defined[c0:c1])
-                words = np.empty((r1 - r0, c1 - c0, 6), _WORD)
-                words[:] = _TOKEN[fmt]
-                words[:, cols] = _cell_words(block[:, cols].ravel(), fmt).reshape(r1 - r0, len(cols), 6)
-            if c1 == width:
-                words[:, -1, 5] = _SEPARATOR[fmt][1]
-            words = words.reshape(r1 - r0, -1)
-            if c0 == 0:
-                words = np.hstack([starts.view(_WORD).reshape(r1 - r0, 2), words])
-            yield words.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _cell_words(x, fmt):
-    """(n, 6) words of the n cells `x`: the text of each, then the separator."""
-    words = np.empty((len(x), 6), _WORD)
-    a = np.abs(x)
-    lo, hi = _PLAIN[fmt]
-    rest = np.flatnonzero(~((a >= lo) & (a < hi)))  # NaN, +-0, and cells for _cell_text
-    a[rest] = 1.0  # formatted, then overwritten
-    unsafe = _digit_words(a, x < 0, words)
-    words[:, 5] = _SEPARATOR[fmt][0]
-    others = x[rest]
-    nan, zero = np.isnan(others), others == 0
-    words[rest[nan]] = _TOKEN[fmt]
-    words[rest[zero], :5] = _ZERO[fmt][np.signbit(others[zero]).astype(np.intp)]
-    slow = np.concatenate([np.flatnonzero(unsafe), rest[~nan & ~zero]])
-    words[slow, :5] = _text_words(*(_cell_text(v, fmt) for v in x[slow].tolist()))
-    return words
-
-
-def _cell_text(x: float, fmt: str) -> str:
-    """`%.12g` in Python, and for JSON once more through the codec where that text differs."""
-    text = _fmt(x)
-    if fmt == "json" and not _NORMAL_MIN <= abs(x) < _EXPONENT_MIN:
-        text = json.dumps(json.loads(text))
-    return text
-
-
-def _digit_words(a, negative, words):
-    """Write words 0-4 of the %.12g text of each positive finite `a`; return where they may be wrong.
-
-    With e = floor(log10 a) and c = 10**(11 - e) correctly rounded, y = a * c
-    is within 2.3e-4 of exact (below 1e-280, a * (c / 2**128) * 2**128). e
-    moves by one where y lies outside [99999999999.95, 999999999999.5), where
-    the 12 digits are D = rint(y) with exponent e. D is exact unless y is
-    within 2**-10 of a tie or of the range's ends: those cells go to `_cell_text`.
-    """
-    j = np.floor(np.log10(a)).astype(np.intp) + _E0
-    y = a * _POW10[j] * _SCALE[j]
-    over, under = y >= _Y_HI, y < _Y_LO
-    if over.any() or under.any():
-        j += over
-        j -= under
-        y = a * _POW10[j] * _SCALE[j]
-    digits = np.rint(y)
-    unsafe = (np.abs(y - digits) > 0.5 - _TOLERANCE) | (y < _Y_LO + _TOLERANCE) | (y > _Y_HI - _TOLERANCE)
-    digits = digits.astype(np.int64)
-    high = digits // 10**8
-    low = digits - high * 10**8
-    mid = low // 10**4
-    low -= mid * 10**4
-    # trailing zeros of the 12 digits, from those of each 4-digit group
-    zeros = _ZEROS4[low] + (low == 0) * (_ZEROS4[mid] + (mid == 0) * _ZEROS4[high])
-    form = _FORM[j] - zeros
-    words[:, 0] = _LEAD[j] | negative * np.uint64(ord("-"))
-    for word, group, keep in zip((1, 2, 3), (high, mid, low), _KEEP):
-        np.bitwise_and(_DIGITS4[group], keep[form], out=words[:, word])
-    words[:, 4] = _EXPONENT[j]
-    return unsafe
-
-
-def _text_words(*texts):
-    return np.frombuffer(b"".join(t.encode().ljust(40, b"\0") for t in texts), _WORD).reshape(-1, 5)
-
-
-def _render_tables():
-    """Lookup tables of `_digit_words`, indexed by exponent + _E0, 4-digit group or form."""
-    exps = np.arange(-_E0, 310)  # every decimal exponent of a positive double, and one either side
-    k = 11 - exps
-    # 10**k = 5**k * 2**k, where int -> float and int / int round 5**+-p correctly
-    fives = [1]
-    for _ in range(k.max()):
-        fives.append(5 * fives[-1])
-    five = np.where(k >= 0, np.take([float(f) for f in fives], abs(k)), np.take([1 / f for f in fives], abs(k)))
-    scaled = k >= 291  # 10**k overflows
-    pow10 = np.ldexp(five, k - 128 * scaled)
-    scale = np.where(scaled, 2.0**128, 1.0)
-    # form c: 0..11 fixed with the point after digit c, 12 fixed after a `0.000`
-    # lead, and exponent form prints as c = 0; _FORM - trailing zeros = 13 c + digits
-    fixed = (exps >= -4) & (exps <= 11)
-    form = np.where(fixed & (exps < 0), 12, np.where(fixed, exps, 0)) * 13 + 12
-    lead = np.zeros(len(exps), np.uint64)  # byte 0 is left for the sign
-    lead[_E0 - 4:_E0] = [int.from_bytes(b"\0" + b"0." + b"0" * (-e - 1), "little") for e in range(-4, 0)]
-    mag = np.abs(exps)  # a NUL hundreds digit is dropped with the padding
-    chars = [np.full(len(exps), ord("e")), np.where(exps < 0, ord("-"), ord("+")),
-             np.where(mag >= 100, 48 + mag // 100, 0), 48 + mag // 10 % 10, 48 + mag % 10]
-    exponent = sum(c.astype(np.uint64) << np.uint64(8 * i) for i, c in enumerate(chars)) * ~fixed
-    digit = np.indices((10,) * 4, np.uint64).reshape(4, -1)  # the digits of 0..9999
-    digits4 = sum((d + ord("0") + (ord(".") << 8)) << np.uint64(16 * i) for i, d in enumerate(digit))
-    d0, d1, d2, d3 = digit == 0
-    zeros4 = (d3 * (1 + d2 * (1 + d1 * (1 + d0)))).astype(np.intp)
-    # per form and number of digits: the lanes printed and the point if any
-    c, s, lane = np.ogrid[:13, :13, :12]
-    kept = lane < np.where(c == 12, s, np.maximum(s, c + 1))
-    point = (c < 12) & (s > c + 1) & (lane == c)
-    mask = (kept * 0xFF + point * 0xFF00).astype(np.uint64) << (16 * (lane % 4)).astype(np.uint64)
-    keep = mask.reshape(169, 3, 4).sum(axis=2, dtype=np.uint64).T.copy()
-    return pow10, scale, form, lead, exponent, digits4, zeros4, keep
-
-
-_WORD = np.dtype("<u8")
-_E0 = 325  # index of exponent 0 in the exponent tables
-_Y_LO, _Y_HI, _TOLERANCE = 99999999999.95, 999999999999.5, 2.0**-10
-_POW10, _SCALE, _FORM, _LEAD, _EXPONENT, _DIGITS4, _ZEROS4, _KEEP = _render_tables()
-# magnitudes numpy formats; others are NaN, +-0 or formatted by _cell_text
-_PLAIN = {"csv": (5e-324, np.inf), "json": (_NORMAL_MIN, _EXPONENT_MIN)}
-_ZERO = {"csv": _text_words("0", "-0"), "json": _text_words("0", "0")}
-# (separator, end of row) as one word each
-_SEPARATOR = {fmt: np.frombuffer(f"{sep:\0<8}{end:\0<8}".encode(), _WORD).tolist()
-              for fmt, (sep, end) in _LAYOUT.items()}
-# an undefined cell and its separator
-_TOKEN = {fmt: np.frombuffer(f"{token:\0<40}{_LAYOUT[fmt][0]:\0<8}".encode(), _WORD)
-          for fmt, token in (("csv", UNDEFINED), ("json", "null"))}
 
 
 def _summary_text(config: RunConfig, result: _Result) -> str:
@@ -593,18 +366,6 @@ def _summary_text(config: RunConfig, result: _Result) -> str:
         "tied_outcomes": np.flatnonzero(report.tie).tolist(),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _write_text(path: Path, chunks) -> None:
-    """Write `chunks` (strings) to a temp file beside `path` and rename it onto `path`; remove it on failure."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 if __name__ == "__main__":

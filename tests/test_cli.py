@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import render_table
 
 from countfix import __version__, cli, montecarlo
+from countfix import _tables as table_format
 from countfix.detector import DetectorParams, _poisson_tail_quantile, build_matrix
 from countfix.montecarlo import ShotConfig, empirical_matrix
 from countfix.priors import custom_prior
@@ -255,7 +256,7 @@ def _tables(draw):
 def test_table_bytes_match_cell_by_cell_renderer(table, fmt, tmp_path):
     row_name, columns, values = table
     path = tmp_path / f"table.{fmt}"
-    cli._write_table(path, fmt, row_name, columns, values)
+    table_format._write_table(path, fmt, row_name, columns, values)
     assert path.read_bytes() == render_table(fmt, row_name, columns, values).encode("utf-8")
 
 
@@ -283,7 +284,7 @@ def test_json_rows_splice_or_recode_like_the_cell_by_cell_renderer(data, tmp_pat
         if data.draw(st.booleans()):
             values[i, data.draw(st.integers(0, shape[1] - 1))] = data.draw(_RECODED_CELLS)
     path = tmp_path / "table.json"
-    cli._write_table(path, "json", "m", "n", values)
+    table_format._write_table(path, "json", "m", "n", values)
     assert path.read_bytes() == render_table("json", "m", "n", values).encode("utf-8")
 
 
@@ -295,14 +296,14 @@ def test_json_rows_skip_the_codec_unless_a_cell_needs_it(tmp_path, monkeypatch):
         calls.append(text)
         return loads(text, *args, **kwargs)
 
-    monkeypatch.setattr(cli.json, "loads", counted)
+    monkeypatch.setattr(table_format.json, "loads", counted)
     # the lossy_uniform run of the analytic-large benchmark holds no subnormal
     assert cli.main(["run", "--n-max", "100", "--p-loss", "0.99", "--lambda", "100", "--prior",
                      "uniform:0:100", "--format", "json", "--out", str(tmp_path)]) == 0
     assert calls == []
     values = build_matrix(DetectorParams(p_loss=0.99, lam=100.0), 100).entries.copy()
     values[7, 3] = 5e-324
-    cli._write_table(tmp_path / "table.json", "json", "m", "n", values)
+    table_format._write_table(tmp_path / "table.json", "json", "m", "n", values)
     assert len(calls) == 1
 
 
@@ -332,8 +333,24 @@ def test_float_tables_match_the_cell_by_cell_renderer_on_a_sweep(tmp_path):
                               ("json", np.concatenate([structured, patterns[:10**5]]), 1000)):
         values = _as_table(cells, width)
         path = tmp_path / f"sweep.{fmt}"
-        cli._write_table(path, fmt, "m", "n", values)
+        table_format._write_table(path, fmt, "m", "n", values)
         assert path.read_bytes() == render_table(fmt, "m", "n", values).encode("utf-8"), fmt
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_cells_print_right_when_the_exponent_estimate_is_one_off(monkeypatch, shift):
+    # numpy's log10 puts y = a * 10**(11 - e) near _Y_LO or _Y_HI too rarely for
+    # a test to reach; a log10 shifted a whole unit sends every cell through the
+    # exponent correction. After a +1 shift 9.99999999997e k and 9.999999999994e k
+    # land just below _Y_LO, where moving _Y_LO to 99999999999.5 misprints them.
+    # Neither rounds up into the next decade: a cell that does, such as
+    # 9.999999999996e-05, needs a second correction under a -1 shift, and a real
+    # log10 is never a whole unit low, so the renderer makes only one.
+    cells = np.array([float(f"{m}e{k}") for k in range(-30, 30) for m in ("9.99999999997", "9.999999999994")])
+    log10 = np.log10
+    monkeypatch.setattr(table_format.np, "log10", lambda a: log10(a) + shift)
+    text = table_format._cell_words(cells, "csv").tobytes().translate(None, b"\0").decode()
+    assert text.split(",")[:-1] == [format(x, ".12g") for x in cells]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -343,10 +360,10 @@ def test_float_tables_match_the_cell_by_cell_renderer_on_a_sweep(tmp_path):
 def test_blocks_and_undefined_columns_match_the_cell_by_cell_renderer(values, chunk, fmt, data, tmp_path,
                                                                       monkeypatch):
     # small blocks split rows, or hold several; a column `defined` marks False prints as NaN
-    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    monkeypatch.setattr(table_format, "_CHUNK", chunk)
     defined = data.draw(hnp.arrays(bool, values.shape[1]))
     path = tmp_path / f"table.{fmt}"
-    cli._write_table(path, fmt, "n", "m", values, defined)
+    table_format._write_table(path, fmt, "n", "m", values, defined)
     expected = render_table(fmt, "n", "m", np.where(defined, values, np.nan))
     assert path.read_bytes() == expected.encode("utf-8")
 
@@ -363,15 +380,15 @@ _MOSTLY_UNDEFINED = ["--n-max", "1000", "--lambda", "0", "--p-loss", "0.5", "--p
 
 def test_few_cells_are_formatted_one_at_a_time(tmp_path, monkeypatch):
     formatted, blocks = [], []
-    cell_text, cell_words = cli._cell_text, cli._cell_words
-    monkeypatch.setattr(cli, "_cell_text", lambda x, fmt: formatted.append(x) or cell_text(x, fmt))
-    monkeypatch.setattr(cli, "_cell_words", lambda x, fmt: blocks.append(x.size) or cell_words(x, fmt))
+    cell_text, cell_words = table_format._cell_text, table_format._cell_words
+    monkeypatch.setattr(table_format, "_cell_text", lambda x, fmt: formatted.append(x) or cell_text(x, fmt))
+    monkeypatch.setattr(table_format, "_cell_words", lambda x, fmt: blocks.append(x.size) or cell_words(x, fmt))
     cells = 0
     for args in _ANALYTIC_LARGE:
         config = cli.parse_config(["run", *args, "--out", str(tmp_path)])
         result = cli._compute(config)
         for kind in config.outputs:
-            values = cli._ARTIFACTS[kind][4](result)
+            values = cli._ARTIFACTS[kind][4](config, result)
             cells += (values[0] if isinstance(values, tuple) else values).size
         cli._emit(config, result)
     assert 0 < len(formatted) <= 0.01 * cells
@@ -621,7 +638,7 @@ def test_write_table_streams_its_rows(tmp_path, fmt, lam):
     path = tmp_path / f"pmn.{fmt}"
     tracemalloc.start()
     try:
-        cli._write_table(path, fmt, "m", "n", values)
+        table_format._write_table(path, fmt, "m", "n", values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -646,17 +663,17 @@ def test_pnm_table_holds_no_copy_of_the_posterior(tmp_path, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failed_table_stream_keeps_the_old_file(tmp_path, fmt):
     path = tmp_path / f"table.{fmt}"
-    cli._write_table(path, fmt, "m", ["a", "b"], np.ones((4, 2)))
+    table_format._write_table(path, fmt, "m", ["a", "b"], np.ones((4, 2)))
     good = path.read_bytes()
     values = np.ones((4, 2), dtype=object)
     values[2, 1] = "not a number"  # CSV writes rows 0 and 1 before %.12g refuses it; JSON fails sooner
     with pytest.raises(TypeError):
-        cli._write_table(path, fmt, "m", ["a", "b"], values)
+        table_format._write_table(path, fmt, "m", ["a", "b"], values)
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def test_largest_run_peaks_within_four_matrices_of_a_default_run(tmp_path):
+def test_largest_run_peaks_within_two_and_a_half_matrices_of_a_default_run(tmp_path):
     if sys.platform != "linux":
         pytest.skip("ru_maxrss is in KiB on Linux, in bytes on macOS")
     # each run is the only child of a fresh interpreter, which reports its
@@ -671,7 +688,7 @@ def test_largest_run_peaks_within_four_matrices_of_a_default_run(tmp_path):
     baseline = maxrss("run", "--prior", "pdc:0.7", "--out", str(tmp_path / "base"))
     largest = maxrss("run", "--n-max", "1000", "--lambda", "0", "--prior", "pdc:0.5",
                      "--emit", "pnm,optmap", "--out", str(tmp_path / "large"))
-    assert largest <= baseline + 4 * 1001 * 1001 * 8
+    assert largest <= baseline + 2.5 * 1001 * 1001 * 8
 
 
 def run_python(code, openblas_threads=None):
