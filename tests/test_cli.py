@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import render_table
 
-from countfix import __version__, cli, montecarlo
+from countfix import __version__, cli, detector
 from countfix import _tables as table_format
 from countfix.detector import DetectorParams, _poisson_tail_quantile, build_matrix
 from countfix.montecarlo import ShotConfig, empirical_matrix
@@ -208,7 +208,8 @@ def test_json_format(tmp_path):
     ("simulate", ["--p-loss", "0.5", "--lambda", "1", "--shots", "1000", "--n-max", "5"]),
 ])
 def test_json_output_matches_fixture_bytes(command, args, tmp_path):
-    # the fixtures were written by the cell-by-cell renderer of countfix 0.2.0
+    # the fixtures were written by the cell-by-cell renderer of countfix 0.2.0,
+    # and the simulated counts by the histogram sampler of 0.3.0
     res = run_cli(command, *args, "--format", "json", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     expected = FIXTURES / command
@@ -455,17 +456,6 @@ def test_simulate_builds_no_response_matrix(tmp_path, monkeypatch):
     assert (out / "empirical_pmn.csv").read_bytes() == expected.read_bytes()
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_simulate_bytes_do_not_depend_on_thread_count(tmp_path, monkeypatch, workers):
-    monkeypatch.setattr(montecarlo, "_workers", lambda tasks: workers)
-    out = tmp_path / "out"
-    code = cli.main(["simulate", "--p-loss", "0.5", "--seed", "0", "--shots", "200000",
-                     "--n-max", "9", "--out", str(out)])
-    assert code == 0
-    expected = ROOT / "results" / "simulate_lossy" / "empirical_pmn.csv"
-    assert (out / "empirical_pmn.csv").read_bytes() == expected.read_bytes()
-
-
 def test_run_can_emit_simulation_alongside_analytics(tmp_path):
     out = tmp_path / "out"
     res = run_cli(
@@ -593,6 +583,15 @@ def test_lambda_above_the_tail_quantile_does_not_refuse_a_run_that_fits():
     config = cli.parse_config(["run", "--n-max", "1000", "--lambda", "3200", "--tail-eps", "0.9",
                                "--prior", "pdc:0.5"])
     assert config.n_max == 1000
+
+
+def test_a_run_builds_its_poisson_table_once(tmp_path):
+    # parse_config's size checks and build_matrix read one held table
+    detector._poisson_table.cache_clear()
+    code = cli.main(["run", "--n-max", "5", "--lambda", "2500", "--prior", "pdc:0.7",
+                     "--emit", "pmn", "--out", str(tmp_path)])
+    assert code == 0
+    assert detector._poisson_table.cache_info().misses == 1
 
 
 def test_unknown_flag_exits_2():
@@ -725,7 +724,6 @@ def test_import_pins_openblas_to_one_thread_before_numpy_loads(imports, preset, 
 
 
 def test_import_loads_no_executor_or_logging():
-    # the Monte Carlo threads come from `threading`, which numpy imports anyway;
     # concurrent.futures would pull in logging and lengthen every cold start
     code = (
         "import countfix, sys; "

@@ -17,6 +17,7 @@ from countfix.detector import (
     build_matrix,
     conditional_prob,
     _poisson_pmfs,
+    _poisson_table,
     _poisson_tail_quantile,
     _tail_table,
     poisson_pmf,
@@ -91,6 +92,20 @@ def test_poisson_pmf_keeps_a_tiny_rate():
 
 def test_poisson_pmf_is_zero_outside_the_table():
     assert poisson_pmf(1.0, 10**6) == 0.0
+
+
+def test_poisson_table_is_built_once_per_rate():
+    # a caller that loops over entries, as conditional_prob's callers do, pays for one table
+    _poisson_table.cache_clear()
+    table = _poisson_pmfs(2500.0, range(2400, 2601))
+    assert [poisson_pmf(2500.0, d) for d in (2400, 2500, 2600)] == table[::100].tolist()
+    conditional_prob(DetectorParams(p_loss=0.3, lam=2500.0), 2500, 6)
+    assert _poisson_table.cache_info().misses == 1
+    assert not _poisson_table(2500.0, 1.0).flags.writeable
+    # -0.0 == 0.0, but the zeros of their tables carry their own signs
+    assert math.copysign(1.0, poisson_pmf(0.0, 1)) == 1.0
+    assert math.copysign(1.0, poisson_pmf(-0.0, 1)) == -1.0
+    assert math.copysign(1.0, poisson_pmf(0.0, 1)) == 1.0
 
 
 def test_no_dark_counts_raise_no_warning():

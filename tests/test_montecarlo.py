@@ -1,18 +1,12 @@
-"""Seeded shot simulation: determinism, layout independence, statistics."""
+"""Seeded histogram simulation: determinism, stream layout, statistics."""
 
 import inspect
 import math
-import os
-import sys
-import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy import stats
 
 from countfix import montecarlo
 from countfix.detector import DetectorParams, build_matrix
@@ -26,7 +20,7 @@ from countfix.montecarlo import (
     joint_stream,
 )
 from countfix.priors import custom_prior, pdc_prior, uniform_prior
-from oracles import poisson_tail_quantile, tv_distance
+from oracles import conv_column, poisson_tail_quantile, tv_distance
 
 NOISY = DetectorParams(p_loss=0.5, lam=1.0)
 
@@ -64,142 +58,87 @@ def test_shot_mean_and_variance_match_model():
     assert var == pytest.approx(sigma**2, rel=0.02)
 
 
-def _measured(u_survive, u_dark, n, params):
-    """scipy's inverse CDFs: survivors out of n plus dark counts."""
-    survivors = stats.binom.ppf(u_survive, n, 1.0 - params.p_loss)
-    return (survivors + stats.poisson.ppf(u_dark, params.lam)).astype(int)
+def _pmf(cdf):
+    """The law that an inverse-CDF draw from cdf samples."""
+    return np.diff(np.minimum(cdf, 1.0), prepend=0.0)
 
 
-def _joint_by_layout(u, prior, params, shape):
-    """counts[n, m] from scipy's inverse CDFs on the rows u of the joint stream."""
-    n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
+def _draw(stream, shots, pmf):
+    """{category: count} from one multinomial call over pmf's positive
+    categories, in increasing order."""
+    drawn = [k for k in range(len(pmf)) if pmf[k] > 0]
+    return dict(zip(drawn, stream.multinomial(shots, pmf[drawn]).tolist()))
+
+
+def _add_shots(stream, shots, n, params, out):
+    """Add to out the histogram of `shots` shots with n incident photons, in
+    the documented call order: the survivor counts, then in one call a
+    dark-count row for each survivor number with shots, over the dark
+    counts in decreasing probability."""
+    survivors = _draw(stream, shots, _pmf(montecarlo._binomial_cdf(1.0 - params.p_loss, n)))
+    dark_pmf = _pmf(montecarlo._poisson_cdf(params.lam))
+    # sorted() is stable: equally likely dark counts keep increasing order
+    dark = sorted((d for d in range(len(dark_pmf)) if dark_pmf[d] > 0), key=lambda d: -dark_pmf[d])
+    rows = [s for s, c in survivors.items() if c]
+    for s, row in zip(rows, stream.multinomial([survivors[s] for s in rows], dark_pmf[dark])):
+        for d, c in zip(dark, row.tolist()):
+            out[s + d] += c
+
+
+def _column_by_layout(seed, n, shots, params, size):
+    counts = np.zeros(size, dtype=np.int64)
+    _add_shots(column_stream(seed, n), shots, n, params, counts)
+    return counts
+
+
+def _joint_by_layout(seed, shots, prior, params, shape):
+    """counts[n, m] from joint_stream: the incident numbers, then the shots
+    of each drawn n in increasing order."""
+    stream = joint_stream(seed)
     counts = np.zeros(shape, dtype=np.int64)
-    np.add.at(counts, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
+    for n, c in _draw(stream, shots, _pmf(montecarlo._prior_cdf(prior.probs))).items():
+        if c:
+            _add_shots(stream, c, n, params, counts[n])
     return counts
 
 
 @pytest.mark.parametrize("p_loss", [0.0, 0.3, 0.5, 1.0])
-def test_matrix_columns_follow_stream_layout(monkeypatch, p_loss):
-    # shot i of column n reads row i of column_stream(seed, n).random((shots, 2))
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1000)
+def test_matrix_columns_follow_stream_layout(p_loss):
     params = DetectorParams(p_loss=p_loss, lam=1.3)
-    config = ShotConfig(params=params, seed=21, shots=3000)
-    for col in empirical_matrix(config, 6):
-        u = column_stream(21, col.n).random((3000, 2))
-        manual = np.bincount(_measured(u[:, 0], u[:, 1], col.n, params), minlength=len(col.counts))
-        np.testing.assert_array_equal(col.counts, manual)
+    for col in empirical_matrix(ShotConfig(params=params, seed=21, shots=3000), 6):
+        np.testing.assert_array_equal(col.counts, _column_by_layout(21, col.n, 3000, params, len(col.counts)))
 
 
 @pytest.mark.parametrize("p_loss", [0.0, 0.3, 0.5, 1.0])
-def test_joint_follows_stream_layout(monkeypatch, p_loss):
-    # shot i reads row i of joint_stream(seed).random((shots, 3)): the incident
-    # number from the prior, then survivors and dark counts
-    # uniform_prior(5, 300) leaves n < 5, and some other n in each chunk, without a shot
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 999)
+def test_joint_follows_stream_layout(p_loss):
+    # uniform_prior(5, 300) leaves n < 5 without a shot
     params = DetectorParams(p_loss=p_loss, lam=1.3)
-    u = joint_stream(21).random((3000, 3))
     for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
         counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior)
-        n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
-        manual = np.zeros_like(counts)
-        np.add.at(manual, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
-        np.testing.assert_array_equal(counts, manual)
+        np.testing.assert_array_equal(counts, _joint_by_layout(21, 3000, prior, params, counts.shape))
 
 
-def test_large_dark_rate_follows_stream_layout(monkeypatch):
-    # at lam 800 about 4 % of the dark-count guide buckets hold a CDF entry,
-    # so these draws also take the binary-search fallback
-    assert (montecarlo._guide(montecarlo._poisson_cdf(800.0))[1] < 0).mean() > 0.01
+def test_large_dark_rate_follows_stream_layout():
+    # at lam 800 a dark-count row spans hundreds of counts, drawn from the mode outward
     params = DetectorParams(p_loss=0.3, lam=800.0)
     config = ShotConfig(params=params, seed=21, shots=3000)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1000)
     for col in empirical_matrix(config, 6):
-        u = column_stream(21, col.n).random((3000, 2))
-        manual = np.bincount(_measured(u[:, 0], u[:, 1], col.n, params), minlength=len(col.counts))
-        np.testing.assert_array_equal(col.counts, manual)
-    u = joint_stream(21).random((3000, 3))
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 999)
-    for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
+        np.testing.assert_array_equal(col.counts, _column_by_layout(21, col.n, 3000, params, len(col.counts)))
+    for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 40)):
         counts = empirical_joint(config, prior)
-        n = np.searchsorted(np.cumsum(prior.probs), u[:, 0], side="right")
-        manual = np.zeros_like(counts)
-        np.add.at(manual, (n, _measured(u[:, 1], u[:, 2], n, params)), 1)
-        np.testing.assert_array_equal(counts, manual)
+        np.testing.assert_array_equal(counts, _joint_by_layout(21, 3000, prior, params, counts.shape))
 
 
-class _StuckWords:
-    """Stands in for a Philox bit generator: every word is 2**64 - 1."""
-
-    def advance(self, delta):
-        pass
-
-    def random_raw(self, size):
-        return np.full(size, 2**64 - 1, dtype=np.uint64)
-
-
-class _StuckStream:
-    """Stands in for joint_stream: every uniform is the largest double below 1."""
-
-    bit_generator = _StuckWords()  # (2**64 - 1 >> 11) * 2**-53 = 1 - 2**-53
-
-    def random(self, shape):
-        return np.full(shape, 1.0 - 2.0**-53)
-
-
-def test_joint_never_draws_a_zero_weight_number(monkeypatch):
-    # the cumulative sum of ten weights 0.1 ends at 1 - 2**-53, so that u
-    # would land on n = 10, whose weight is 0
-    monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _StuckStream())
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 2)
-    prior = custom_prior([0.1] * 10 + [0.0])
-    counts = empirical_joint(ShotConfig(params=NOISY, seed=0, shots=5), prior)
-    assert counts[:10].sum() == 5
-
-
-_BUCKET_EDGES = np.arange(montecarlo._GUIDE_BUCKETS) / montecarlo._GUIDE_BUCKETS
-
-_CDFS = st.one_of(
-    st.builds(
-        montecarlo._binomial_cdf,
-        st.sampled_from([0.0, 1.0, 1e-9, 0.5]) | st.floats(0.0, 1.0),
-        st.integers(0, 1000),
-    ),
-    st.builds(montecarlo._poisson_cdf, st.sampled_from([0.0, 1.0, 800.0, 1e4])),
-    st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0]), min_size=1, max_size=40)
-    .filter(any)
-    .map(lambda w: montecarlo._prior_cdf(custom_prior(w).probs)),
-    st.just(np.ones(1)),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(cdf=_CDFS, seed=st.integers(0, 2**32 - 1))
-def test_guided_draw_equals_binary_search(cdf, seed):
-    # a word w stands for the uniform (w >> 11) * 2**-53
-    inside = cdf[cdf < 1.0]
-    u = np.concatenate([
-        inside,
-        np.nextafter(inside, 0.0),
-        np.nextafter(inside, 1.0),
-        _BUCKET_EDGES,
-        np.nextafter(_BUCKET_EDGES[1:], 0.0),
-        [0.0, 1.0 - 2.0**-53],
-    ])
-    k = (u[u < 1.0] * 2.0**53).astype(np.uint64)  # the neighbour above 1 - 2**-53 is 1
-    threshold = np.ceil(inside * 2.0**53).astype(np.uint64) << 11  # the first word with u >= c
-    w = np.concatenate([
-        k << 11,  # the smallest and the largest word for each u
-        k << 11 | 0x7FF,
-        threshold,
-        threshold - 1,  # wraps to 2**64 - 1 for a threshold of 0
-        threshold + 1,
-        np.random.Philox(seed).random_raw(1000),
-    ])
-    bucket, out = np.empty((2, len(w)), dtype=np.intp)
-    np.testing.assert_array_equal(
-        montecarlo._draw(montecarlo._guide(cdf), w, bucket, out),
-        np.searchsorted(cdf, (w >> 11) * 2.0**-53, side="right"),
-    )
+def test_joint_never_draws_a_zero_weight_number():
+    # numpy gives a multinomial's rounding remainder to its last category:
+    # handed the weights [1/3, 1/3, 1/3, 0] as they are, 10**17 shots put
+    # about 20 of them on n = 3
+    for weights in ([1.0, 1.0, 1.0, 0.0], [0.1] * 10 + [0.0], [0.0, 0.3, 0.0, 0.3, 0.4, 0.0, 0.0]):
+        prior = custom_prior(weights)
+        for seed in range(20):
+            counts = empirical_joint(ShotConfig(params=NOISY, seed=seed, shots=10**17), prior)
+            assert counts.sum() == 10**17
+            assert not counts[prior.probs == 0.0].any(), (weights, seed)
 
 
 def test_sampler_shares_no_code_with_the_detector():
@@ -242,294 +181,46 @@ def test_different_seeds_differ():
     assert any(not np.array_equal(ca.counts, cb.counts) for ca, cb in zip(a, b))
 
 
-def test_chunk_layout_never_changes_results(monkeypatch):
-    config = ShotConfig(params=NOISY, seed=7, shots=4096)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 4096)
-    reference = empirical_matrix(config, 4)
-    for chunk in (1, 37, 1000, 65536):
-        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
-        again = empirical_matrix(config, 4)
-        for ca, cb in zip(reference, again):
-            np.testing.assert_array_equal(ca.counts, cb.counts)
+def _assert_binomial_cells(samples, probs, shots):
+    """Across seeds (axis 0), each cell has the mean shots * P and the
+    variance shots * P * (1 - P) of a Binomial(shots, P) count, within 5
+    standard errors; probs holds P per cell."""
+    seeds = len(samples)
+    mean = shots * probs
+    var = mean * (1.0 - probs)
+    fourth = var * (1.0 + 3.0 * (shots - 2) * probs * (1.0 - probs))  # central moment
+    np.testing.assert_array_less(np.abs(samples.mean(axis=0) - mean), 5.0 * np.sqrt(var / seeds) + 1e-12)
+    np.testing.assert_array_less(
+        np.abs(samples.var(axis=0, ddof=1) - var), 5.0 * np.sqrt((fourth - var**2) / seeds) + 1e-12
+    )
 
 
-def test_thread_count_never_changes_results(monkeypatch):
-    # each column reads its own substream, so which thread samples it, and
-    # with how many shots per draw, changes no count; a short switch interval
-    # makes the threads interleave often, so a column lost or written twice shows
-    params = DetectorParams(p_loss=0.3, lam=1.3)
-    config = ShotConfig(params=params, seed=21, shots=3000)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 1000)
-    runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(montecarlo, "_workers", lambda columns, k=workers: k)
-            runs.append(empirical_matrix(config, 6))
-    finally:
-        sys.setswitchinterval(interval)
-    for columns in runs:
-        assert [col.n for col in columns] == list(range(7))
-        for col, ref in zip(columns, runs[0]):
-            np.testing.assert_array_equal(col.counts, ref.counts)
-    for col in runs[0]:
-        u = column_stream(21, col.n).random((3000, 2))
-        manual = np.bincount(_measured(u[:, 0], u[:, 1], col.n, params), minlength=len(col.counts))
-        np.testing.assert_array_equal(col.counts, manual)
-
-
-def test_workers_follow_usable_cpus(monkeypatch):
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    assert montecarlo._workers(1) == 1
-    assert montecarlo._workers(10**6) == cpus
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert montecarlo._workers(10**6) == 1
-
-
-class _NoThread:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a thread was started for one worker")
-
-
-def test_one_worker_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(montecarlo.threading, "Thread", _NoThread)
-    config = ShotConfig(params=NOISY, seed=0, shots=100)
-    assert len(empirical_matrix(config, 0)) == 1
-    assert empirical_joint(config, pdc_prior(0.7, n_max=5)).sum() == 100  # one chunk
-    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 1)
-    assert len(empirical_matrix(config, 5)) == 6
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_runner_returns_the_task_results_in_index_order(workers):
-    def task(i):  # the runner hands a task its index and nothing else
-        return f"task {i}"
-
-    assert montecarlo._on_threads(task, 10, workers) == [task(i) for i in range(10)]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_column_errors_reach_the_caller(monkeypatch, workers):
-    error = ValueError("no stream for n = 5")
-
-    def stream(seed, n):
-        if n == 5:
-            raise error
-        return column_stream(seed, n)
-
-    monkeypatch.setattr(montecarlo, "column_stream", stream)
-    monkeypatch.setattr(montecarlo, "_workers", lambda columns: workers)
-    with pytest.raises(ValueError) as caught:
-        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
-    assert caught.value is error
-
-
-def test_thread_start_errors_reach_the_caller(monkeypatch):
-    # the second helper cannot be started: the first, already sampling, is
-    # stopped and joined before the error reaches the caller
-    error = RuntimeError("can't start new thread")
-    start = threading.Thread.start
-    starts = []
-
-    def failing_start(thread):
-        starts.append(thread)
-        if len(starts) == 2:
-            raise error
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", failing_start)
-    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 3)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError) as caught:
-        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=10**5), 30)
-    assert caught.value is error
-    assert len(starts) == 2
-    assert threading.active_count() == before
-
-
-def test_helper_thread_errors_reach_the_caller(monkeypatch):
-    # the calling thread holds its first column until a helper has failed,
-    # so the error is raised on a helper thread, never on the caller's
-    error = ValueError("helper failed")
-    failed = threading.Event()
-    opened = []
-
-    def stream(seed, n):
-        opened.append(threading.get_ident())
-        if threading.current_thread() is not threading.main_thread():
-            failed.set()
-            raise error
-        assert failed.wait(timeout=30), "no helper thread took a column"
-        return column_stream(seed, n)
-
-    monkeypatch.setattr(montecarlo, "column_stream", stream)
-    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 2)
-    before = threading.active_count()
-    with pytest.raises(ValueError) as caught:
-        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
-    assert caught.value is error
-    assert threading.active_count() == before
-    # the helper's failure stops the caller: no thread opens a second stream
-    assert len(opened) <= 2 and len(set(opened)) == len(opened)
-
-
-def test_caller_errors_stop_the_helpers(monkeypatch):
-    # the helper holds its first column until the caller has failed, so the
-    # caller's failure must stop it from taking another
-    error = ValueError("caller failed")
-    helper_opened = threading.Event()
-    caller_failed = threading.Event()
-    opened = []
-
-    def stream(seed, n):
-        opened.append(threading.get_ident())
-        if threading.current_thread() is threading.main_thread():
-            assert helper_opened.wait(timeout=30), "no helper thread took a column"
-            caller_failed.set()
-            raise error
-        helper_opened.set()
-        assert caller_failed.wait(timeout=30), "the caller never failed"
-        return column_stream(seed, n)
-
-    monkeypatch.setattr(montecarlo, "column_stream", stream)
-    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 2)
-    before = threading.active_count()
-    with pytest.raises(ValueError) as caught:
-        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
-    assert caught.value is error
-    assert len(opened) == 2 and len(set(opened)) == 2
-    assert threading.active_count() == before
-
-
-def test_the_first_failure_is_the_one_raised(monkeypatch):
-    # the helper fails first, then the caller fails after the helper has
-    # exited: the helper's error is the one re-raised
-    first = ValueError("helper failed first")
-    second = ValueError("caller failed second")
-    go = threading.Event()
-
-    def stream(seed, n):
-        if threading.current_thread() is not threading.main_thread():
-            assert go.wait(timeout=30), "the caller never took a column"
-            raise first
-        go.set()
-        deadline = time.monotonic() + 30
-        while threading.active_count() > before:
-            assert time.monotonic() < deadline, "the helper thread never exited"
-            time.sleep(0.001)
-        raise second
-
-    monkeypatch.setattr(montecarlo, "column_stream", stream)
-    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 2)
-    before = threading.active_count()
-    with pytest.raises(ValueError) as caught:
-        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
-    assert caught.value is first
-
-
-class _Stop(BaseException):
-    pass
-
-
-def test_helper_base_exceptions_reach_the_caller(monkeypatch):
-    # an exception that is not an Exception, like KeyboardInterrupt, still
-    # stops the work and reaches the caller unchanged
-    error = _Stop()
-    failed = threading.Event()
-
-    def stream(seed, n):
-        if threading.current_thread() is not threading.main_thread():
-            failed.set()
-            raise error
-        assert failed.wait(timeout=30), "no helper thread took a column"
-        return column_stream(seed, n)
-
-    monkeypatch.setattr(montecarlo, "column_stream", stream)
-    monkeypatch.setattr(montecarlo, "_workers", lambda columns: 2)
-    before = threading.active_count()
-    with pytest.raises(_Stop) as caught:
-        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
-    assert caught.value is error
-    assert threading.active_count() == before
-
-
-def test_joint_thread_count_never_changes_results(monkeypatch):
-    # each chunk advances its own copy of the joint stream to its first shot,
-    # and the threads share only the histogram
-    params = DetectorParams(p_loss=0.3, lam=1.3)
-    config = ShotConfig(params=params, seed=21, shots=3000)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 999)
-    u = joint_stream(21).random((3000, 3))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(montecarlo, "_workers", lambda chunks, k=workers: k)
-                counts = empirical_joint(config, prior)
-                np.testing.assert_array_equal(counts, _joint_by_layout(u, prior, params, counts.shape))
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("entries", [1, 64])
-def test_joint_table_size_never_changes_results(monkeypatch, entries):
-    # a smaller stacked survivor table has fewer buckets per row, down to one
-    # bucket that always falls back to the binary search
-    monkeypatch.setattr(montecarlo, "_JOINT_TABLE_ENTRIES", entries)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 999)
-    params = DetectorParams(p_loss=0.3, lam=1.3)
-    prior = pdc_prior(0.7, n_max=6)
-    u = joint_stream(21).random((3000, 3))
-    counts = empirical_joint(ShotConfig(params=params, seed=21, shots=3000), prior)
-    np.testing.assert_array_equal(counts, _joint_by_layout(u, prior, params, counts.shape))
-
-
-def test_joint_helper_thread_errors_reach_the_caller(monkeypatch):
-    error = ValueError("helper failed")
-    failed = threading.Event()
-    opened = []
-
-    def stream(seed):
-        opened.append(threading.get_ident())
-        if threading.current_thread() is not threading.main_thread():
-            failed.set()
-            raise error
-        assert failed.wait(timeout=30), "no helper thread took a chunk"
-        return joint_stream(seed)
-
-    monkeypatch.setattr(montecarlo, "joint_stream", stream)
-    monkeypatch.setattr(montecarlo, "_workers", lambda chunks: 2)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 10)
-    before = threading.active_count()
-    with pytest.raises(ValueError) as caught:
-        empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), pdc_prior(0.7, n_max=5))
-    assert caught.value is error
-    assert threading.active_count() == before
-    assert len(opened) <= 2 and len(set(opened)) == len(opened)
-
-
-def test_joint_threads_keep_the_shots_in_flight(monkeypatch):
-    # each of k threads draws _CHUNK_SHOTS // k shots at a time
-    config = ShotConfig(params=NOISY, seed=0, shots=2**18)
-    prior = pdc_prior(0.7, n_max=7)
-    empirical_joint(config, prior)  # first-call allocations stay out of the peaks
-    peaks = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(montecarlo, "_workers", lambda chunks, k=workers: k)
-        tracemalloc.start()
-        try:
-            empirical_joint(config, prior)
-            _, peaks[workers] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peaks[2] <= 1.1 * peaks[1]
+def test_seed_ensemble_matches_binomial_cell_moments():
+    # over many seeds, the count in each cell is Binomial(shots, P): a sampler
+    # that rounds expected counts has too little variance, and one that
+    # reuses a stream across seeds has none, or correlates its columns
+    params = DetectorParams(p_loss=0.3, lam=0.5)
+    shots, n_max, seeds = 10, 3, 2000
+    prior = pdc_prior(0.7, n_max=n_max)
+    matrix, joint = [], []
+    for seed in range(seeds):
+        config = ShotConfig(params=params, seed=seed, shots=shots)
+        columns = empirical_matrix(config, n_max)
+        size = len(columns[-1].counts)
+        matrix.append([np.pad(c.counts, (0, size - len(c.counts))) for c in columns])
+        joint.append(empirical_joint(config, prior))
+    matrix, joint = np.array(matrix), np.array(joint)
+    conditional = np.array([conv_column(params.p_loss, params.lam, n, size - 1) for n in range(n_max + 1)])
+    _assert_binomial_cells(matrix, conditional, shots)
+    _assert_binomial_cells(joint, prior.probs[:, np.newaxis] * conditional, shots)
+    # the columns' mean counts are uncorrelated across seeds
+    means = matrix @ np.arange(size) / shots
+    r = np.corrcoef(means[:, 1:], rowvar=False)  # column 0 is the same law for every n
+    assert np.all(np.abs(r[~np.eye(n_max, dtype=bool)]) < 5.0 / math.sqrt(seeds))
 
 
 def test_joint_memory_stays_near_its_result():
-    # the stacked survivor guide rows of a wide prior get fewer buckets
+    # a wide prior's shots are drawn one incident number at a time
     tracemalloc.start()
     try:
         counts = empirical_joint(ShotConfig(params=NOISY, seed=0, shots=10**4), uniform_prior(0, 2000))
@@ -549,35 +240,6 @@ def test_joint_builds_survivor_rows_only_for_drawn_numbers(monkeypatch, prior, r
     monkeypatch.setattr(montecarlo, "_binomial_cdf", lambda q, n: built.append(n) or binomial_cdf(q, n))
     assert empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), prior).sum() == 100
     assert built == rows
-
-
-def test_joint_chunk_layout_never_changes_results(monkeypatch):
-    config = ShotConfig(params=NOISY, seed=7, shots=4096)
-    prior = pdc_prior(0.7, n_max=6)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 4096)
-    reference = empirical_joint(config, prior)
-    for chunk in (1, 37, 1000, 65536):
-        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
-        np.testing.assert_array_equal(reference, empirical_joint(config, prior))
-
-
-@pytest.mark.parametrize("stream", [lambda: column_stream(9, 3), lambda: joint_stream(9)])
-def test_uniforms_are_the_top_53_bits_of_raw_words(stream):
-    # the samplers read words and rely on numpy's conversion to doubles;
-    # 1001 words per call also crosses Philox's 4-word blocks mid-block
-    doubles, words = stream(), stream().bit_generator
-    for _ in range(2):
-        np.testing.assert_array_equal(doubles.random(1001), (words.random_raw(1001) >> 11) * 2.0**-53)
-
-
-def test_advanced_joint_stream_reproduces_the_full_stream():
-    # shot `start` begins at word 3 * start; 3 * start % 4 takes every residue
-    full = joint_stream(9).random((40, 3))
-    for start in range(8):
-        words = joint_stream(9).bit_generator
-        words.advance(3 * start // 4)
-        words.random_raw(3 * start % 4)
-        np.testing.assert_array_equal((words.random_raw((40 - start, 3)) >> 11) * 2.0**-53, full[start:])
 
 
 def test_column_and_joint_streams_are_disjoint():
@@ -661,22 +323,6 @@ def test_matrix_memory_stays_near_its_result():
     assert peak < 2 * sum(col.counts.nbytes for col in columns)
 
 
-def test_threads_keep_the_shots_in_flight(monkeypatch):
-    # each of k threads draws _CHUNK_SHOTS // k shots at a time
-    config = ShotConfig(params=NOISY, seed=0, shots=2**18)
-    empirical_matrix(config, 7)  # first-call allocations stay out of the peaks
-    peaks = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(montecarlo, "_workers", lambda columns, k=workers: k)
-        tracemalloc.start()
-        try:
-            empirical_matrix(config, 7)
-            _, peaks[workers] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert peaks[2] <= 1.1 * peaks[1]
-
-
 def test_empirical_column_checks_totals():
     EmpiricalColumn(n=0, counts=np.array([3, 7]), total=10)
     with pytest.raises(ValueError):
@@ -693,3 +339,29 @@ def test_empirical_column_checks_totals():
         with pytest.raises(ValueError):
             EmpiricalColumn(n=n, counts=counts, total=total)
     assert type(EmpiricalColumn(n=0, counts=[3, 7], total=np.int64(10)).total) is int
+
+
+def test_shots_cost_work_in_the_support_not_in_the_shots():
+    # the per-shot sampler would have needed about a day for these draws
+    config = ShotConfig(params=NOISY, seed=0, shots=10**15)
+    start = time.perf_counter()
+    columns = empirical_matrix(config, 19)
+    assert time.perf_counter() - start < 0.5
+    mat = build_matrix(NOISY, 19)
+    for col in columns:
+        assert col.counts.sum() == 10**15
+        assert tv_distance(col.frequencies, mat.entries[:, col.n]) < 1e-6
+
+
+def test_shots_beyond_int64_are_refused():
+    # numpy counts the shots in int64; the bound belongs to the samplers, so a
+    # ShotConfig that is never simulated may hold more
+    prior = pdc_prior(0.7, n_max=3)
+    too_many = ShotConfig(params=NOISY, seed=0, shots=2**63)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        empirical_matrix(too_many, 3)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        empirical_joint(too_many, prior)
+    most = ShotConfig(params=NOISY, seed=0, shots=2**63 - 1)
+    assert all(col.total == 2**63 - 1 for col in empirical_matrix(most, 3))
+    assert empirical_joint(most, prior).sum() == 2**63 - 1
