@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -454,6 +455,29 @@ def test_simulate_builds_no_response_matrix(tmp_path, monkeypatch):
     assert code == 0
     expected = ROOT / "results" / "simulate_lossy" / "empirical_pmn.csv"
     assert (out / "empirical_pmn.csv").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_simulate_bytes_do_not_depend_on_thread_count(tmp_path, workers):
+    # simulate keeps no state between runs, so runs on several threads at
+    # once each write the bytes of a lone run
+    expected = (ROOT / "results" / "simulate_lossy" / "empirical_pmn.csv").read_bytes()
+    codes = [None] * workers
+    barrier = threading.Barrier(workers)
+
+    def run(i):
+        barrier.wait(timeout=30)
+        codes[i] = cli.main(["simulate", "--p-loss", "0.5", "--seed", "0", "--shots", "200000",
+                             "--n-max", "9", "--out", str(tmp_path / f"out{i}")])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert codes == [0] * workers
+    for i in range(workers):
+        assert (tmp_path / f"out{i}" / "empirical_pmn.csv").read_bytes() == expected
 
 
 def test_run_can_emit_simulation_alongside_analytics(tmp_path):

@@ -2,6 +2,8 @@
 
 import inspect
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -179,6 +181,236 @@ def test_different_seeds_differ():
     a = empirical_matrix(ShotConfig(params=NOISY, seed=1, shots=2000), 3)
     b = empirical_matrix(ShotConfig(params=NOISY, seed=2, shots=2000), 3)
     assert any(not np.array_equal(ca.counts, cb.counts) for ca, cb in zip(a, b))
+
+
+def test_chunk_layout_never_changes_results():
+    # a run is laid out as one substream per column, so how many columns it
+    # holds changes none of them
+    config = ShotConfig(params=NOISY, seed=7, shots=4096)
+    reference = empirical_matrix(config, 9)
+    for n_max in (0, 1, 4, 9):
+        columns = empirical_matrix(config, n_max)
+        assert [col.n for col in columns] == list(range(n_max + 1))
+        for col, ref in zip(columns, reference):
+            np.testing.assert_array_equal(col.counts, ref.counts)
+
+
+def test_joint_chunk_layout_never_changes_results():
+    # zero weights after the last positive one widen the histogram but hand
+    # numpy the same categories, so every count stays; the weights sum to 1
+    # exactly, so the padded priors hold the same probabilities
+    config = ShotConfig(params=NOISY, seed=7, shots=4096)
+    weights = [0.5, 0.25, 0.125, 0.0625, 0.0625]
+    reference = empirical_joint(config, custom_prior(weights))
+    for zeros in (1, 2, 37):
+        counts = empirical_joint(config, custom_prior(weights + [0.0] * zeros))
+        assert counts.shape == (len(weights) + zeros, reference.shape[1] + zeros)
+        np.testing.assert_array_equal(counts[: len(weights), : reference.shape[1]], reference)
+        assert counts.sum() == reference.sum()
+
+
+def _on_threads(task, workers):
+    """[task(0), ..., task(workers - 1)], each on its own thread, started
+    together and with a short switch interval so that the threads interleave
+    often; the first error raised on a thread is re-raised."""
+    results, errors = [None] * workers, []
+    barrier = threading.Barrier(workers)
+
+    def run(i):
+        try:
+            barrier.wait(timeout=30)
+            results[i] = task(i)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "a sampler thread never finished"
+    if errors:
+        raise errors[0]
+    return results
+
+
+def test_thread_count_never_changes_results():
+    # the sampler keeps no state between calls, so callers on several threads
+    # at once each get the columns of a lone call; a column lost, or drawn
+    # from another call's stream, shows
+    params = DetectorParams(p_loss=0.3, lam=1.3)
+    config = ShotConfig(params=params, seed=21, shots=3000)
+    for workers in (1, 2, 3):
+        for columns in _on_threads(lambda i: empirical_matrix(config, 6), workers):
+            assert [col.n for col in columns] == list(range(7))
+            for col in columns:
+                np.testing.assert_array_equal(
+                    col.counts, _column_by_layout(21, col.n, 3000, params, len(col.counts))
+                )
+
+
+def test_joint_thread_count_never_changes_results():
+    params = DetectorParams(p_loss=0.3, lam=1.3)
+    config = ShotConfig(params=params, seed=21, shots=3000)
+    for prior in (pdc_prior(0.7, n_max=6), uniform_prior(5, 300)):
+        for workers in (1, 2, 3):
+            for counts in _on_threads(lambda i: empirical_joint(config, prior), workers):
+                np.testing.assert_array_equal(counts, _joint_by_layout(21, 3000, prior, params, counts.shape))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_runner_returns_the_task_results_in_index_order(workers):
+    # concurrent calls with different seeds share no stream: caller i gets
+    # the histograms of seed i, its columns in increasing n
+    def task(i):
+        config = ShotConfig(params=NOISY, seed=i, shots=2000)
+        return empirical_matrix(config, 5), empirical_joint(config, pdc_prior(0.7, n_max=5))
+
+    for i, (columns, joint) in enumerate(_on_threads(task, workers)):
+        alone, alone_joint = task(i)
+        assert [col.n for col in columns] == list(range(6))
+        for col, ref in zip(columns, alone):
+            np.testing.assert_array_equal(col.counts, ref.counts)
+        np.testing.assert_array_equal(joint, alone_joint)
+
+
+class _NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the sampler started a thread")
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    # both samplers draw on the calling thread alone, whatever the shots and columns
+    assert not hasattr(montecarlo, "threading")
+    monkeypatch.setattr(threading, "Thread", _NoThread)
+    before = threading.active_count()
+    config = ShotConfig(params=NOISY, seed=0, shots=10**6)
+    assert len(empirical_matrix(config, 30)) == 31
+    assert empirical_joint(config, uniform_prior(0, 30)).sum() == 10**6
+    assert threading.active_count() == before
+
+
+class _FailingDraw:
+    """Wraps a stream; its multinomial call number `call` raises `error`."""
+
+    def __init__(self, stream, call, error):
+        self._stream, self._calls, self._call, self._error = stream, 0, call, error
+
+    def multinomial(self, *args, **kwargs):
+        self._calls += 1
+        if self._calls == self._call:
+            raise self._error
+        return self._stream.multinomial(*args, **kwargs)
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3])
+def test_column_errors_reach_the_caller(monkeypatch, failing):
+    # column `failing` cannot open its stream: the caller gets that error,
+    # and no later column opens one
+    error = ValueError(f"no stream for n = {failing}")
+    opened = []
+
+    def stream(seed, n):
+        opened.append(n)
+        if n == failing:
+            raise error
+        return column_stream(seed, n)
+
+    monkeypatch.setattr(montecarlo, "column_stream", stream)
+    with pytest.raises(ValueError) as caught:
+        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
+    assert caught.value is error
+    assert opened == list(range(failing + 1))
+
+
+def test_the_first_failure_is_the_one_raised(monkeypatch):
+    # columns 3 and 6 both fail in their dark-count draw, the second
+    # multinomial call: column 3's error is raised and column 6 is never drawn
+    errors = {3: ValueError("column 3 failed"), 6: ValueError("column 6 failed")}
+    opened = []
+
+    def stream(seed, n):
+        opened.append(n)
+        if n in errors:
+            return _FailingDraw(column_stream(seed, n), 2, errors[n])
+        return column_stream(seed, n)
+
+    monkeypatch.setattr(montecarlo, "column_stream", stream)
+    with pytest.raises(ValueError) as caught:
+        empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
+    assert caught.value is errors[3]
+    assert opened == [0, 1, 2, 3]
+
+
+class _Stop(BaseException):
+    pass
+
+
+def test_helper_base_exceptions_reach_the_caller(monkeypatch):
+    # an exception that is not an Exception, like KeyboardInterrupt, raised
+    # in a draw still reaches the caller unchanged, from either sampler
+    error = _Stop()
+    monkeypatch.setattr(montecarlo, "column_stream", lambda seed, n: _FailingDraw(column_stream(seed, n), 1, error))
+    monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _FailingDraw(joint_stream(seed), 3, error))
+    config = ShotConfig(params=NOISY, seed=0, shots=100)
+    with pytest.raises(_Stop) as caught:
+        empirical_matrix(config, 9)
+    assert caught.value is error
+    with pytest.raises(_Stop) as caught:
+        empirical_joint(config, pdc_prior(0.7, n_max=5))
+    assert caught.value is error
+
+
+def test_joint_helper_thread_errors_reach_the_caller(monkeypatch):
+    # the joint stream's draws are the incident numbers (call 1), then the
+    # survivors and dark counts of each drawn n; an error in any of them
+    # reaches the caller unchanged
+    config = ShotConfig(params=NOISY, seed=0, shots=100)
+    prior = pdc_prior(0.7, n_max=5)
+    calls = 1 + 2 * np.count_nonzero(empirical_joint(config, prior).sum(axis=1))
+    for call in range(1, calls + 1):
+        error = ValueError(f"draw {call} failed")
+        monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _FailingDraw(joint_stream(seed), call, error))
+        with pytest.raises(ValueError) as caught:
+            empirical_joint(config, prior)
+        assert caught.value is error
+    monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _FailingDraw(joint_stream(seed), calls + 1, error))
+    assert empirical_joint(config, prior).sum() == 100  # no draw past the last one
+
+
+def _peak(draw):
+    """The least traced peak of three calls of draw, after three untraced
+    ones, so that first-call allocations and caches stay out of it."""
+    for _ in range(3):
+        draw()
+    peaks = []
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            draw()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+def test_threads_keep_the_shots_in_flight():
+    # a histogram is drawn whole, so no shot is ever held in memory: the
+    # draws take memory in the support, whose every cell 2**56 shots already
+    # reach, and 64 times the shots peak no higher
+    small, large = (ShotConfig(params=NOISY, seed=0, shots=shots) for shots in (2**56, 2**62))
+    assert _peak(lambda: empirical_matrix(large, 7)) <= 1.1 * _peak(lambda: empirical_matrix(small, 7))
+
+
+def test_joint_threads_keep_the_shots_in_flight():
+    small, large = (ShotConfig(params=NOISY, seed=0, shots=shots) for shots in (2**56, 2**62))
+    prior = pdc_prior(0.7, n_max=7)
+    assert _peak(lambda: empirical_joint(large, prior)) <= 1.1 * _peak(lambda: empirical_joint(small, prior))
 
 
 def _assert_binomial_cells(samples, probs, shots):
