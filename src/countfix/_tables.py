@@ -12,7 +12,8 @@ otherwise the shortest `repr` of the double the text reads as, or `0` for
 file beside its path and renamed onto it: whole, or not at all.
 
 numpy formats float tables a block of cells at a time; Python formats only
-the cells numpy cannot round safely. Other tables keep a `%` template per row.
+the cells numpy cannot round safely. Integer tables keep a `%d` template
+per row.
 """
 
 from __future__ import annotations
@@ -85,12 +86,11 @@ def _row_start(fmt: str, i: int) -> str:
 
 
 def _template_rows(values, fmt):
-    """Rows formatted by one `%d` (integers) or `%.12g` template each."""
+    """The rows of an integer table, formatted by one `%d` template each."""
     sep, end = _LAYOUT[fmt]
-    template = ",".join(["%d" if values.dtype.kind in "iu" else "%.12g"] * values.shape[1])
+    template = ",".join(["%d"] * values.shape[1])
     for i, row in enumerate(values):
-        # the %.12g text of a finite float never contains "nan"
-        text = (template % tuple(row.tolist())).replace("nan", _NULL[fmt]).replace(",", sep)
+        text = (template % tuple(row.tolist())).replace(",", sep)
         yield (_row_start(fmt, i) + text + end).encode()
 
 

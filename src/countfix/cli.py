@@ -61,10 +61,6 @@ _RUN_ONLY = ("prior", "emit")
 # (n_max 300, lambda 5) needs 0.79 MB.
 MAX_ARRAY_BYTES = 2**25
 
-# Most shots a simulating run may take over all its columns, shots * (n_max + 1):
-# about 850 times the default run (10**6 shots, n_max 19).
-MAX_SHOTS = 2**34
-
 
 class UsageError(ValueError):
     """Bad flag or config value; maps to exit code 2."""
@@ -117,8 +113,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     _check_size("--n-max, --lambda", rows * (rows + _tail_table(detector.lam)[0]) * 8)
     tail = _poisson_tail_quantile(detector.lam, detector.tail_epsilon)
     _check_size("--n-max, --lambda, --tail-eps", rows * (rows + tail) * 8)
-    if "simulate" in outputs and shot_config.shots * rows > MAX_SHOTS:
-        raise UsageError(f"--shots, --n-max: shots * (n_max + 1) must be at most {MAX_SHOTS}")
     prior = None if values["prior"] is None else _parse_prior(values["prior"], n_max)
     return RunConfig(
         shot_config=shot_config,

@@ -51,6 +51,8 @@ class DetectorParams:
             duration into this number is the caller's job.
         tail_epsilon: maximum probability mass allowed to fall above the
             truncated measured-count range of a built matrix, in (0, 1).
+
+    A p_loss or lam of -0.0 is stored as 0.0.
     """
 
     p_loss: float
@@ -60,8 +62,8 @@ class DetectorParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_loss <= 1.0):
             raise ValueError(f"p_loss must be in [0, 1], got {self.p_loss!r}")
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        object.__setattr__(self, "p_loss", self.p_loss + 0.0)  # -0.0 reads as 0.0
+        object.__setattr__(self, "lam", _rate(self.lam))
         if not (0.0 < self.tail_epsilon < 1.0):
             raise ValueError(
                 f"tail_epsilon must be in (0, 1), got {self.tail_epsilon!r}"
@@ -109,9 +111,7 @@ def poisson_pmf(lam: float, d: int) -> float:
     lam asked. A count whose pmf is below the smallest subnormal double gets 0.
     """
     d = _check_count(d, "d")
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-    return float(_poisson_pmfs(lam, range(d, d + 1))[0])
+    return float(_poisson_pmfs(_rate(lam), range(d, d + 1))[0])
 
 
 def conditional_prob(params: DetectorParams, m: int, n: int) -> float:
@@ -162,10 +162,17 @@ def _add_photon(col: np.ndarray, out: np.ndarray, p_loss: float) -> None:
     out[1:] += (1.0 - p_loss) * col[:-1]
 
 
+def _rate(lam: float) -> float:
+    """lam checked as a dark-count mean, with -0.0 read as 0.0."""
+    if not (lam >= 0.0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+    return lam + 0.0
+
+
 def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:
     """poisson_pmf(lam, d) for each d in counts, without validating lam or d."""
     lo, hi = _tail_table(lam)
-    table = _poisson_table(lam, math.copysign(1.0, lam))
+    table = _poisson_table(lam)
     out = np.zeros(len(counts))  # a count outside the table gets 0
     a = max(counts.start, lo)
     b = max(a, min(counts.stop, hi + 1))
@@ -174,12 +181,10 @@ def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _poisson_table(lam: float, sign: float) -> np.ndarray:
+def _poisson_table(lam: float) -> np.ndarray:
     """The read-only Poisson(lam) pmf over the counts _tail_table(lam).
 
     One table is held, for the last lam asked, so a run builds it once.
-    `sign` is lam's sign and only keys the cache: -0.0 == 0.0, but their
-    tables differ in the signs of their zeros.
     """
     # The ratios P(d+1)/P(d) = lam/(d+1), multiplied outward from the mode k,
     # give the pmf over _tail_table(lam) up to one factor, which the sum fixes.
@@ -200,7 +205,7 @@ def _poisson_tail_quantile(lam: float, epsilon: float) -> int:
     """
     # Summing downward from the far tail adds the smallest terms first.
     lo = _tail_table(lam)[0]
-    pmf = _poisson_table(lam, math.copysign(1.0, lam))
+    pmf = _poisson_table(lam)
     tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[i] = P(lo + i < D <= hi)
     return lo + int(np.count_nonzero(tail > epsilon))
 

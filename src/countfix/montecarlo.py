@@ -34,7 +34,7 @@ of zero weight is never drawn. Histograms are therefore bit-identical for a
 given (seed, params, shots) and numpy's multinomial stream, which NEP 19
 does not freeze across numpy versions. This layout dates from version
 0.3.0; earlier versions drew shot by shot, so their histograms differ.
-numpy counts in int64, so shots must be below 2**63.
+numpy counts in int64, so ShotConfig holds fewer than 2**63 shots.
 
 Each pmf is the law that inverting its CDF samples, np.diff(np.minimum(cdf,
 1.0), prepend=0.0): the first entry at or above 1 takes the rest of the
@@ -74,7 +74,8 @@ _JOINT_NAMESPACE = 1
 
 @dataclass(frozen=True)
 class ShotConfig:
-    """Deterministic simulation run: detector, stream seed, repetition count."""
+    """Deterministic simulation run: detector, stream seed, and a repetition
+    count below 2**63, which numpy's int64 counts hold."""
 
     params: DetectorParams
     seed: int
@@ -84,8 +85,11 @@ class ShotConfig:
         seed = _check_count(self.seed, "seed")
         if seed >= 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        shots = _check_count(self.shots, "shots", least=1)
+        if shots >= 2**63:
+            raise ValueError(f"shots must be below 2**63, got {shots}")
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "shots", _check_count(self.shots, "shots", least=1))
+        object.__setattr__(self, "shots", shots)
 
 
 @dataclass(frozen=True)
@@ -135,14 +139,13 @@ def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     alone.
     """
     n_max = _check_count(n_max, "n_max")
-    shots = _checked_shots(config)
     q = 1.0 - config.params.p_loss
     dark = _dark_counts(config.params.lam)
     columns = []
     for n in range(n_max + 1):
         counts = np.zeros(n + dark[0], dtype=np.int64)
-        _detect(column_stream(config.seed, n), shots, _pmf(_binomial_cdf(q, n)), dark, counts)
-        columns.append(EmpiricalColumn(n=n, counts=counts, total=shots))
+        _detect(column_stream(config.seed, n), config.shots, _pmf(_binomial_cdf(q, n)), dark, counts)
+        columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
     return columns
 
 
@@ -153,23 +156,15 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
     histogram on its total reproduces the Bayes posterior P(n|m)
     empirically.
     """
-    shots = _checked_shots(config)
     q = 1.0 - config.params.p_loss
     dark = _dark_counts(config.params.lam)
     n_top = len(prior.probs) - 1
     counts = np.zeros((n_top + 1, n_top + dark[0]), dtype=np.int64)
     stream = joint_stream(config.seed)
-    incident = _multinomial(stream, shots, _pmf(_prior_cdf(prior.probs)))
+    incident = _multinomial(stream, config.shots, _pmf(_prior_cdf(prior.probs)))
     for n in np.flatnonzero(incident).tolist():
         _detect(stream, incident[n], _pmf(_binomial_cdf(q, n)), dark, counts[n])
     return counts
-
-
-def _checked_shots(config: ShotConfig) -> int:
-    """config.shots, refused when numpy's int64 counts cannot hold it."""
-    if config.shots >= 2**63:
-        raise ValueError(f"shots must be below 2**63, got {config.shots}")
-    return config.shots
 
 
 def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:

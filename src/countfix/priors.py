@@ -63,6 +63,7 @@ def pdc_prior(chi: float, n_max: int | None = None) -> NumberPrior:
     """
     if not (0.0 <= chi < 1.0):
         raise ValueError(f"chi must be in [0, 1), got {chi!r}")
+    chi += 0.0  # -0.0 reads as 0.0
     chi2 = chi * chi
     if n_max is None:
         n_max = _default_support(chi2)
@@ -87,7 +88,7 @@ def custom_prior(weights, label: str = "custom") -> NumberPrior:
     Accepts unnormalized histograms; at least one weight must be positive
     and all must be finite and nonnegative.
     """
-    w = np.array(weights, dtype=float)
+    w = np.array(weights, dtype=float) + 0.0  # -0.0 reads as 0.0
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty 1-d vector")
     if not np.all(np.isfinite(w)):

@@ -545,8 +545,8 @@ def test_concurrent_simulations_are_byte_identical(tmp_path):
         (["run", "--n-max", "100000", "--prior", "pdc:0.5"], "--n-max"),
         (["run", "--n-max", "-3000", "--prior", "pdc:0.5"], "--n-max: n_max must be >= 0"),
         (["run", "--lambda", "1e300", "--prior", "pdc:0.5"], "--lambda"),
-        (["simulate", "--shots", str(2**33 + 1), "--n-max", "1"], "--shots, --n-max"),
-        (["run", "--prior", "pdc:0.5", "--emit", "simulate", "--shots", str(10**39)], "--shots, --n-max"),
+        (["simulate", "--shots", str(2**63)], "--seed, --shots"),
+        (["run", "--prior", "pdc:0.5", "--emit", "pmn", "--shots", str(10**39)], "--seed, --shots"),
         (["simulate", "--n-max", "-1"], "--n-max: n_max must be >= 0"),
         (["run", "--prior", "uniform:0:30"], "--prior, --n-max"),
         (["run", "--n-max", "1400", "--lambda", "1400", "--prior", "pdc:0.5"],
@@ -565,13 +565,61 @@ def test_usage_errors_exit_2(args, fragment, tmp_path):
     assert not (tmp_path / "out").exists()  # a refused run creates nothing
 
 
-def test_shot_bound_applies_only_when_simulating(tmp_path):
-    # the bound itself is allowed
-    config = cli.parse_config(["simulate", "--shots", str(2**33), "--n-max", "1"])
-    assert config.shot_config.shots * (config.n_max + 1) == cli.MAX_SHOTS
-    res = run_cli("run", "--prior", "pdc:0.5", "--emit", "pmn", "--shots", str(10**39),
-                  "--out", str(tmp_path))
-    assert res.returncode == 0, res.stderr
+def test_int64_shot_bound_holds_whether_or_not_a_run_simulates(tmp_path):
+    # a histogram's cost is bounded by its support, not its shots: int64 is the only shot bound
+    most = 2**63 - 1
+    code = cli.main(["simulate", "--n-max", "19", "--shots", str(most), "--out", str(tmp_path / "sim")])
+    assert code == 0
+    header, rows = read_csv(tmp_path / "sim" / "empirical_pmn.csv")
+    assert len(header) == 21
+    assert all(sum(int(row[i]) for row in rows) == most for i in range(1, 21))
+    # a run that does not simulate still holds its shots in a ShotConfig
+    code = cli.main(["run", "--prior", "pdc:0.5", "--emit", "pmn", "--shots", str(10**39),
+                     "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert not (tmp_path / "run").exists()
+
+
+def _negative_zeros(doc):
+    """The float -0.0 values anywhere in a JSON document."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [z for item in doc for z in _negative_zeros(item)]
+    return [doc] if isinstance(doc, float) and doc == 0.0 and math.copysign(1.0, doc) < 0 else []
+
+
+_ZEROS = st.sampled_from([-0.0, 0.0])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    p_loss=_ZEROS | st.floats(0.01, 1.0),
+    lam=_ZEROS | st.floats(0.01, 5.0),
+    chi=_ZEROS | st.floats(0.01, 0.9),
+    weights=st.lists(_ZEROS | st.floats(0.01, 2.0), min_size=1, max_size=4).filter(lambda w: max(w) > 0),
+    custom=st.booleans(),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@example(p_loss=-0.0, lam=-0.0, chi=-0.0, weights=[1.0], custom=False, fmt="csv")
+@example(p_loss=0.5, lam=1.0, chi=0.5, weights=[-0.0, 1.0, 1.0], custom=True, fmt="csv")
+def test_no_emitted_file_holds_a_negative_zero(p_loss, lam, chi, weights, custom, fmt, tmp_path, capsys):
+    weights_path = tmp_path / "weights.json"
+    weights_path.write_text(json.dumps(weights), encoding="utf-8")
+    prior = f"custom:{weights_path}" if custom else f"pdc:{chi!r}"
+    out = tmp_path / "out"
+    code = cli.main(["run", "--p-loss", repr(p_loss), "--lambda", repr(lam), "--prior", prior,
+                     "--n-max", "3", "--emit", "pmn,pn,pnm,optmap,fidelity,simulate", "--shots", "100",
+                     "--format", fmt, "--out", str(out)])
+    assert code == 0
+    assert "chi=-0" not in capsys.readouterr().out
+    for path in out.iterdir():
+        text = path.read_text(encoding="utf-8")
+        assert "chi=-0" not in text, path.name
+        if path.suffix == ".csv":
+            assert "-0" not in [cell for line in text.splitlines() for cell in line.split(",")], path.name
+        else:
+            assert _negative_zeros(json.loads(text)) == [], path.name
 
 
 @settings(max_examples=100, deadline=None)
@@ -689,7 +737,7 @@ def test_failed_table_stream_keeps_the_old_file(tmp_path, fmt):
     table_format._write_table(path, fmt, "m", ["a", "b"], np.ones((4, 2)))
     good = path.read_bytes()
     values = np.ones((4, 2), dtype=object)
-    values[2, 1] = "not a number"  # CSV writes rows 0 and 1 before %.12g refuses it; JSON fails sooner
+    values[2, 1] = "not a number"  # rows 0 and 1 are written before %d refuses it
     with pytest.raises(TypeError):
         table_format._write_table(path, fmt, "m", ["a", "b"], values)
     assert path.read_bytes() == good

@@ -101,11 +101,12 @@ def test_poisson_table_is_built_once_per_rate():
     assert [poisson_pmf(2500.0, d) for d in (2400, 2500, 2600)] == table[::100].tolist()
     conditional_prob(DetectorParams(p_loss=0.3, lam=2500.0), 2500, 6)
     assert _poisson_table.cache_info().misses == 1
-    assert not _poisson_table(2500.0, 1.0).flags.writeable
-    # -0.0 == 0.0, but the zeros of their tables carry their own signs
+    assert not _poisson_table(2500.0).flags.writeable
+    # -0.0 reads as 0.0: whether or not 0.0's table is held, no zero is -0.0
+    _poisson_table.cache_clear()
+    assert math.copysign(1.0, poisson_pmf(-0.0, 1)) == 1.0
     assert math.copysign(1.0, poisson_pmf(0.0, 1)) == 1.0
-    assert math.copysign(1.0, poisson_pmf(-0.0, 1)) == -1.0
-    assert math.copysign(1.0, poisson_pmf(0.0, 1)) == 1.0
+    assert math.copysign(1.0, poisson_pmf(-0.0, 1)) == 1.0
 
 
 def test_no_dark_counts_raise_no_warning():
@@ -349,6 +350,12 @@ def test_params_validation():
         DetectorParams(p_loss=0.5, lam=0.0, tail_epsilon=1.0)
     with pytest.raises(ValueError):
         DetectorParams(p_loss=math.nan, lam=0.0)
+
+
+def test_negative_zero_params_are_stored_as_zero():
+    params = DetectorParams(p_loss=-0.0, lam=-0.0)
+    assert math.copysign(1.0, params.p_loss) == 1.0
+    assert math.copysign(1.0, params.lam) == 1.0
 
 
 def test_params_frozen():
