@@ -15,13 +15,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .detector import (  # noqa: E402
-    ConditionalMatrix,
-    DetectorParams,
-    build_matrix,
-    conditional_prob,
-    poisson_pmf,
-)
+from .detector import ConditionalMatrix, DetectorParams, build_matrix  # noqa: E402
 from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior  # noqa: E402
 from .montecarlo import (  # noqa: E402
     EmpiricalColumn,
@@ -33,7 +27,7 @@ from .montecarlo import (  # noqa: E402
 )
 from .priors import NumberPrior, custom_prior, pdc_prior, uniform_prior  # noqa: E402
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ConditionalMatrix",
@@ -45,14 +39,12 @@ __all__ = [
     "ShotConfig",
     "build_matrix",
     "column_stream",
-    "conditional_prob",
     "custom_prior",
     "empirical_joint",
     "empirical_matrix",
     "joint_stream",
     "optimisation_map",
     "pdc_prior",
-    "poisson_pmf",
     "posterior",
     "uniform_prior",
     "__version__",

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from ._tables import _fmt, _write_table, _write_text
-from .detector import ConditionalMatrix, DetectorParams, _poisson_tail_quantile, _tail_table, build_matrix
+from .detector import ConditionalMatrix, DetectorParams, _m_max, _tail_table, build_matrix
 from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
 from .montecarlo import EmpiricalColumn, ShotConfig, empirical_matrix
 from .priors import NumberPrior, _check_count, custom_prior, pdc_prior, uniform_prior
@@ -56,9 +56,8 @@ _FLAGS = {
 _RUN_ONLY = ("prior", "emit")
 
 # Largest array a run may allocate, in bytes: the P(m|n) matrix of
-# (n_max + 1) * (n_max + q + 1) float64 entries, q being build_matrix's Poisson
-# tail quantile, or a uniform prior. The largest configuration in use
-# (n_max 300, lambda 5) needs 0.79 MB.
+# (n_max + 1) * (m_max + 1) float64 entries, or a uniform prior. The largest
+# configuration in use (n_max 300, lambda 5) needs 0.79 MB.
 MAX_ARRAY_BYTES = 2**25
 
 
@@ -108,11 +107,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                            shots=values["shots"])
     n_max = _checked("--n-max", _check_count, values["n_max"], "n_max")
     rows = n_max + 1
-    # q is never below its search table's lower edge, so checking that edge first
-    # refuses a huge lambda before the search and no run the exact check admits
+    # m_max is never below n_max plus the tail search table's lower edge, so checking
+    # that edge first refuses a huge lambda before the search and no run the exact check admits
     _check_size("--n-max, --lambda", rows * (rows + _tail_table(detector.lam)[0]) * 8)
-    tail = _poisson_tail_quantile(detector.lam, detector.tail_epsilon)
-    _check_size("--n-max, --lambda, --tail-eps", rows * (rows + tail) * 8)
+    _check_size("--n-max, --lambda, --tail-eps", rows * (_m_max(detector, n_max) + 1) * 8)
     prior = None if values["prior"] is None else _parse_prior(values["prior"], n_max)
     return RunConfig(
         shot_config=shot_config,

@@ -14,8 +14,7 @@ photon is either lost or kept as one more count, so
 Both terms are non-negative, so nothing cancels; p_loss = 0 makes a step an
 exact shift, p_loss = 1 an exact copy, and dyadic inputs give exact entries.
 Row m of column n reads only rows m-n..m of column 0, so an entry does not
-depend on the size of its matrix, and build_matrix and conditional_prob,
-which take the same steps, agree bit for bit.
+depend on the size of its matrix.
 
 All functions here are pure; built matrices are immutable and safe to share
 across threads.
@@ -31,13 +30,7 @@ import numpy as np
 
 from .priors import _Fresh, _check_count, _frozen
 
-__all__ = [
-    "DetectorParams",
-    "ConditionalMatrix",
-    "poisson_pmf",
-    "conditional_prob",
-    "build_matrix",
-]
+__all__ = ["DetectorParams", "ConditionalMatrix", "build_matrix"]
 
 
 @dataclass(frozen=True)
@@ -103,54 +96,33 @@ class ConditionalMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def poisson_pmf(lam: float, d: int) -> float:
-    """Probability of d dark counts under a Poisson law with mean lam.
-
-    Read from the table that column 0 of build_matrix reads, so the two agree
-    bit for bit. The table, O(sqrt(lam)) entries, is built once for the last
-    lam asked. A count whose pmf is below the smallest subnormal double gets 0.
-    """
-    d = _check_count(d, "d")
-    return float(_poisson_pmfs(_rate(lam), range(d, d + 1))[0])
-
-
-def conditional_prob(params: DetectorParams, m: int, n: int) -> float:
-    """P(m|n): probability of measuring m counts given n incident photons.
-
-    build_matrix's recurrence on rows m - min(m, n)..m, in O(n * min(m, n)).
-    Errors from the rows missing below the slice climb one row per photon and
-    never reach row m, so the result equals build_matrix's bit for bit.
-    """
-    m = _check_count(m, "m")
-    n = _check_count(n, "n")
-    top = min(m, n)  # the most photons that can survive into m counts
-    col = _poisson_pmfs(params.lam, range(m - top, m + 1))
-    nxt = np.empty_like(col)
-    for _ in range(n):
-        _add_photon(col, nxt, params.p_loss)
-        col, nxt = nxt, col
-    return float(col[top])
-
-
 def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
     """Construct the P(m|n) matrix for incident numbers 0..n_max.
 
     The measured range is truncated at m_max = n_max + q, where q is the
     smallest integer whose Poisson(lam) tail mass beyond it is at most
     tail_epsilon; every column then retains at least 1 - tail_epsilon of
-    its mass. An entry's value does not depend on n_max or m_max, and it
-    equals conditional_prob bit for bit.
+    its mass. An entry's value does not depend on n_max or m_max.
     """
     n_max = _check_count(n_max, "n_max")
-    m_max = n_max + _poisson_tail_quantile(params.lam, params.tail_epsilon)
+    m_max = _m_max(params, n_max)
     entries = _response(params, n_max, m_max).view(_Fresh)  # adopted, not copied
     return ConditionalMatrix(n_max=n_max, m_max=m_max, entries=entries)
 
 
+def _m_max(params: DetectorParams, n_max: int) -> int:
+    """The last measured count build_matrix keeps for incident numbers 0..n_max."""
+    return n_max + _poisson_tail_quantile(params.lam, params.tail_epsilon)
+
+
 def _response(params: DetectorParams, n_max: int, m_max: int) -> np.ndarray:
     """entries[m, n] = P(m|n) from the Poisson column 0, one photon per column."""
+    # m_max is at least the table's lower edge lo, as the tail quantile is
+    lo, hi = _tail_table(params.lam)
+    top = min(m_max, hi)
     entries = np.empty((m_max + 1, n_max + 1))
-    entries[:, 0] = _poisson_pmfs(params.lam, range(m_max + 1))
+    entries[:, 0] = 0.0  # a count outside the table gets 0
+    entries[lo : top + 1, 0] = _poisson_table(params.lam)[: top + 1 - lo]
     for n in range(n_max):
         _add_photon(entries[:, n], entries[:, n + 1], params.p_loss)
     return entries
@@ -167,17 +139,6 @@ def _rate(lam: float) -> float:
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     return lam + 0.0
-
-
-def _poisson_pmfs(lam: float, counts: range) -> np.ndarray:
-    """poisson_pmf(lam, d) for each d in counts, without validating lam or d."""
-    lo, hi = _tail_table(lam)
-    table = _poisson_table(lam)
-    out = np.zeros(len(counts))  # a count outside the table gets 0
-    a = max(counts.start, lo)
-    b = max(a, min(counts.stop, hi + 1))
-    out[a - counts.start : b - counts.start] = table[a - lo : b - lo]
-    return out
 
 
 @functools.lru_cache(maxsize=1)

@@ -88,7 +88,7 @@ def custom_prior(weights, label: str = "custom") -> NumberPrior:
     Accepts unnormalized histograms; at least one weight must be positive
     and all must be finite and nonnegative.
     """
-    w = np.array(weights, dtype=float) + 0.0  # -0.0 reads as 0.0
+    w = np.array(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty 1-d vector")
     if not np.all(np.isfinite(w)):
@@ -98,7 +98,7 @@ def custom_prior(weights, label: str = "custom") -> NumberPrior:
     total = w.sum()
     if total <= 0.0:
         raise ValueError("at least one weight must be positive")
-    return NumberPrior(probs=(w / total).view(_Fresh), label=label)
+    return NumberPrior(probs=w / total, label=label)
 
 
 def _check_count(value, name: str, least: int = 0) -> int:
@@ -119,8 +119,13 @@ class _Fresh(np.ndarray):
 
 
 def _frozen(value, dtype) -> np.ndarray:
-    """`value` read-only: a _Fresh array adopted as is, any other value copied as `dtype`."""
-    arr = value.view(np.ndarray) if type(value) is _Fresh else np.array(value, dtype=dtype)
+    """`value` read-only: a _Fresh array adopted as is, any other value copied as `dtype`, -0.0 as 0.0."""
+    if type(value) is _Fresh:
+        arr = value.view(np.ndarray)
+    else:
+        arr = np.array(value, dtype=dtype)
+        if arr.dtype.kind == "f":
+            arr += 0.0
     arr.setflags(write=False)
     return arr
 

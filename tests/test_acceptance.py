@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from countfix.detector import DetectorParams, build_matrix, conditional_prob
+from countfix.detector import DetectorParams, build_matrix
 from countfix.inference import optimisation_map, posterior
 from countfix.montecarlo import ShotConfig, empirical_joint, empirical_matrix
 from countfix.priors import pdc_prior, uniform_prior
@@ -84,10 +84,10 @@ def test_criterion_2_normalization_grid():
 def test_criterion_3_small_instance_enumeration():
     for p_loss in (0.3, 0.7):
         for lam in (0.5, 2.0):
-            params = DetectorParams(p_loss=p_loss, lam=lam)
+            mat = build_matrix(DetectorParams(p_loss=p_loss, lam=lam), 4)
             for n in range(5):
                 for m in range(7):
-                    got = conditional_prob(params, m, n)
+                    got = mat.entries[m, n]
                     want = enum_conditional(p_loss, lam, m, n)
                     assert abs(got - want) <= 1e-12, (p_loss, lam, m, n)
     print("PASS criterion 3: closed form matches exhaustive enumeration within 1e-12")

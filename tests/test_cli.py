@@ -209,8 +209,8 @@ def test_json_format(tmp_path):
     ("simulate", ["--p-loss", "0.5", "--lambda", "1", "--shots", "1000", "--n-max", "5"]),
 ])
 def test_json_output_matches_fixture_bytes(command, args, tmp_path):
-    # the fixtures were written by the cell-by-cell renderer of countfix 0.2.0,
-    # and the simulated counts by the histogram sampler of 0.3.0
+    # the tables were written by the cell-by-cell renderer of countfix 0.2.0, the
+    # simulated counts by the histogram sampler of 0.3.0, and summary.json by 0.4.0
     res = run_cli(command, *args, "--format", "json", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     expected = FIXTURES / command
@@ -636,7 +636,7 @@ def test_admitted_runs_fit_their_matrix_in_the_size_limit(n_max, lam, tail_eps):
         cli.parse_config(argv)
     except cli.UsageError:
         return
-    m_max = n_max + _poisson_tail_quantile(lam, tail_eps)  # as build_matrix sizes it
+    m_max = detector._m_max(DetectorParams(p_loss=0.0, lam=lam, tail_epsilon=tail_eps), n_max)
     assert (m_max + 1) * (n_max + 1) * 8 <= cli.MAX_ARRAY_BYTES
 
 
@@ -644,7 +644,7 @@ def test_huge_lambda_is_refused_before_the_tail_search(monkeypatch):
     def search(lam, epsilon):
         raise AssertionError(f"tail quantile searched for lambda {lam}")
 
-    monkeypatch.setattr(cli, "_poisson_tail_quantile", search)
+    monkeypatch.setattr(detector, "_poisson_tail_quantile", search)
     with pytest.raises(cli.UsageError, match="--n-max, --lambda:"):
         cli.parse_config(["run", "--lambda", "1e300", "--prior", "pdc:0.5"])
 

@@ -15,12 +15,9 @@ from countfix.detector import (
     ConditionalMatrix,
     DetectorParams,
     build_matrix,
-    conditional_prob,
-    _poisson_pmfs,
     _poisson_table,
     _poisson_tail_quantile,
     _tail_table,
-    poisson_pmf,
 )
 from oracles import (
     conv_column,
@@ -34,79 +31,94 @@ from oracles import (
 EXPECTED_QUANTILES = {0.0: 0, 0.5: 10, 1.0: 12, 2.0: 16, 5.0: 25, 10.0: 36}
 
 
+def entry(params, m, n):
+    """P(m|n), read from the smallest built matrix that holds row m and column n."""
+    return build_matrix(params, max(m, n)).entries[m, n]
+
+
+def pmf(lam, d):
+    """Poisson(lam) pmf at d, read from column 0 of P(m|n)."""
+    return entry(DetectorParams(p_loss=0.0, lam=lam), d, 0)
+
+
 def test_poisson_pmf_frozen_value():
-    assert poisson_pmf(2.0, 3) == pytest.approx(0.18044704431548359, rel=1e-14)
+    assert pmf(2.0, 3) == pytest.approx(0.18044704431548359, rel=1e-14)
 
 
 def test_poisson_pmf_degenerate_rate():
-    assert poisson_pmf(0.0, 0) == 1.0
-    assert poisson_pmf(0.0, 4) == 0.0
+    assert pmf(0.0, 0) == 1.0
+    assert pmf(0.0, 4) == 0.0
 
 
 def test_poisson_pmf_zero_count():
-    assert poisson_pmf(5.0, 0) == pytest.approx(math.exp(-5.0), rel=1e-15)
+    assert pmf(5.0, 0) == pytest.approx(math.exp(-5.0), rel=1e-15)
 
 
 @given(lam=st.floats(1e-6, 50.0), d=st.integers(0, 150))
 def test_poisson_pmf_matches_scipy(lam, d):
-    assert poisson_pmf(lam, d) == pytest.approx(
+    assert pmf(lam, d) == pytest.approx(
         float(stats.poisson.pmf(d, lam)), rel=1e-11, abs=1e-300
     )
 
 
 def test_conditional_frozen_value():
     params = DetectorParams(p_loss=0.3, lam=0.5)
-    assert conditional_prob(params, 1, 2) == pytest.approx(0.28203675676637454, rel=5e-15)
+    assert entry(params, 1, 2) == pytest.approx(0.28203675676637454, rel=5e-15)
 
 
 def test_conditional_single_photon_half_loss():
     params = DetectorParams(p_loss=0.5, lam=0.0)
-    assert conditional_prob(params, 1, 1) == 0.5
+    assert entry(params, 1, 1) == 0.5
 
 
 def test_conditional_ideal_is_identity():
-    params = DetectorParams(p_loss=0.0, lam=0.0)
+    mat = build_matrix(DetectorParams(p_loss=0.0, lam=0.0), 7)
     for n in range(6):
         for m in range(8):
-            assert conditional_prob(params, m, n) == (1.0 if m == n else 0.0)
+            assert mat.entries[m, n] == (1.0 if m == n else 0.0)
 
 
 def test_conditional_total_loss_is_pure_dark_counts():
-    params = DetectorParams(p_loss=1.0, lam=1.7)
+    mat = build_matrix(DetectorParams(p_loss=1.0, lam=1.7), 4)
     for n in range(5):
         for m in range(6):
-            assert conditional_prob(params, m, n) == poisson_pmf(1.7, m)
+            assert mat.entries[m, n] == pmf(1.7, m)
 
 
 def test_conditional_no_loss_is_shifted_dark_counts():
-    params = DetectorParams(p_loss=0.0, lam=0.8)
+    mat = build_matrix(DetectorParams(p_loss=0.0, lam=0.8), 3)
     for n in range(4):
         for m in range(8):
-            expected = poisson_pmf(0.8, m - n) if m >= n else 0.0
-            assert conditional_prob(params, m, n) == expected
+            expected = pmf(0.8, m - n) if m >= n else 0.0
+            assert mat.entries[m, n] == expected
 
 
 def test_poisson_pmf_keeps_a_tiny_rate():
-    assert poisson_pmf(1e-300, 1) == 1e-300
+    assert pmf(1e-300, 1) == 1e-300
 
 
 def test_poisson_pmf_is_zero_outside_the_table():
-    assert poisson_pmf(1.0, 10**6) == 0.0
+    # rows 242..312 of column 0 lie past the table's upper edge, count 241
+    hi = _tail_table(1.0)[1]
+    column = build_matrix(DetectorParams(p_loss=0.5, lam=1.0), 300).entries[:, 0]
+    assert len(column) > hi + 1
+    assert np.all(column[hi + 1 :] == 0.0)
 
 
 def test_poisson_table_is_built_once_per_rate():
-    # a caller that loops over entries, as conditional_prob's callers do, pays for one table
+    # a caller that builds matrices of one rate, as a run's size check and build do, pays for one table
     _poisson_table.cache_clear()
-    table = _poisson_pmfs(2500.0, range(2400, 2601))
-    assert [poisson_pmf(2500.0, d) for d in (2400, 2500, 2600)] == table[::100].tolist()
-    conditional_prob(DetectorParams(p_loss=0.3, lam=2500.0), 2500, 6)
+    lo = _tail_table(2500.0)[0]
+    table = _poisson_table(2500.0)[2400 - lo : 2601 - lo]
+    column = build_matrix(DetectorParams(p_loss=0.3, lam=2500.0), 6).entries[:, 0]
+    assert column[[2400, 2500, 2600]].tolist() == table[::100].tolist()
     assert _poisson_table.cache_info().misses == 1
     assert not _poisson_table(2500.0).flags.writeable
     # -0.0 reads as 0.0: whether or not 0.0's table is held, no zero is -0.0
     _poisson_table.cache_clear()
-    assert math.copysign(1.0, poisson_pmf(-0.0, 1)) == 1.0
-    assert math.copysign(1.0, poisson_pmf(0.0, 1)) == 1.0
-    assert math.copysign(1.0, poisson_pmf(-0.0, 1)) == 1.0
+    assert math.copysign(1.0, pmf(-0.0, 1)) == 1.0
+    assert math.copysign(1.0, pmf(0.0, 1)) == 1.0
+    assert math.copysign(1.0, pmf(-0.0, 1)) == 1.0
 
 
 def test_no_dark_counts_raise_no_warning():
@@ -122,7 +134,7 @@ def test_no_dark_counts_raise_no_warning():
 def test_poisson_cells_print_their_correctly_rounded_text(lam):
     lo, hi = _tail_table(lam)
     counts = range(98000, 102001, 7) if lam == 1e5 else range(lo, hi + 1)
-    values = _poisson_pmfs(lam, range(counts.start, counts.stop))[:: counts.step]
+    values = _poisson_table(lam)[counts.start - lo : counts.stop - lo : counts.step]
     wrong, worst = poisson_text_errors(lam, counts, values)
     assert wrong == 0
     assert worst <= 2e-14
@@ -148,7 +160,7 @@ def test_poisson_table_misses_no_representable_value(lam):
 )
 def test_conditional_matches_enumeration(p_loss, lam, n, m):
     params = DetectorParams(p_loss=p_loss, lam=lam)
-    assert conditional_prob(params, m, n) == pytest.approx(
+    assert entry(params, m, n) == pytest.approx(
         enum_conditional(p_loss, lam, m, n), abs=1e-12
     )
 
@@ -176,12 +188,12 @@ def test_large_matrix_matches_convolution_oracle(p_loss, lam):
 
 
 def test_no_dark_counts_is_pure_binomial_loss():
-    params = DetectorParams(p_loss=0.4, lam=0.0)
+    mat = build_matrix(DetectorParams(p_loss=0.4, lam=0.0), 6)
     for n in range(6):
         for m in range(n + 1):
             expected = math.comb(n, m) * 0.6**m * 0.4 ** (n - m)
-            assert conditional_prob(params, m, n) == pytest.approx(expected, rel=1e-14)
-        assert conditional_prob(params, n + 1, n) == 0.0
+            assert mat.entries[m, n] == pytest.approx(expected, rel=1e-14)
+        assert mat.entries[n + 1, n] == 0.0
 
 
 def test_tightening_tail_never_shrinks_matrix():
@@ -213,14 +225,12 @@ def test_matrix_ideal_is_identity():
 
 def test_half_loss_without_dark_counts_is_exact_binomial():
     # every entry is the dyadic C(n, m) / 2^n; halving and adding dyadics is exact
-    params = DetectorParams(p_loss=0.5, lam=0.0)
-    mat = build_matrix(params, 19)
+    mat = build_matrix(DetectorParams(p_loss=0.5, lam=0.0), 19)
     assert mat.m_max == 19
     for n in range(20):
         for m in range(20):
             exact = math.comb(n, m) * 2.0**-n
             assert mat.entries[m, n] == exact, (m, n)
-            assert conditional_prob(params, m, n) == exact, (m, n)
 
 
 def test_matrix_total_loss_concentrates_at_zero():
@@ -229,23 +239,25 @@ def test_matrix_total_loss_concentrates_at_zero():
     assert np.all(mat.entries[1:] == 0.0)
 
 
-# (0, 0.8) and (1, 1.7) reach the exact no-loss and total-loss branches, and
-# (0.99, 800) the dark-count-swamped regime with a deep m range. At lam 2500
-# and 1e4 the Poisson table starts above count 0; there every row within 10
-# of its lower edge is checked, and every 41st row elsewhere.
+# An entry does not depend on the size of its matrix: n_max 6's entries equal
+# n_max 30's bit for bit. (0, 0.8) and (1, 1.7) reach the exact no-loss and
+# total-loss branches, and (0.99, 800) the dark-count-swamped regime with a deep
+# m range. At lam 2500 and 1e4 the Poisson table starts above count 0; there
+# every row within 10 of its lower edge is checked, and every 41st row elsewhere.
 @pytest.mark.parametrize(
     "p_loss, lam", [(0.35, 1.3), (0.0, 0.8), (1.0, 1.7), (0.99, 800.0), (0.3, 2500.0), (0.99, 1e4)]
 )
 def test_matrix_entries_match_scalar_evaluation_bitwise(p_loss, lam):
     params = DetectorParams(p_loss=p_loss, lam=lam)
     mat = build_matrix(params, 6)
+    large = build_matrix(params, 30)
     lo = _tail_table(lam)[0]
     rows = range(mat.m_max + 1)
     if lo > 0:
         rows = sorted({*range(lo - 10, lo + 10), *rows[::41]})
     for n in range(7):
         for m in rows:
-            assert mat.entries[m, n] == conditional_prob(params, m, n)
+            assert mat.entries[m, n] == large.entries[m, n]
 
 
 @pytest.mark.parametrize("p_loss, lam", [(0.4, 2.0), (0.0, 0.8), (1.0, 1.7), (0.99, 800.0)])
@@ -367,11 +379,9 @@ def test_params_frozen():
 def test_count_arguments_validated():
     params = DetectorParams(p_loss=0.5, lam=1.0)
     with pytest.raises(ValueError):
-        conditional_prob(params, -1, 2)
-    with pytest.raises(ValueError):
-        conditional_prob(params, 2.5, 2)
-    with pytest.raises(ValueError):
         build_matrix(params, -1)
+    with pytest.raises(ValueError):
+        build_matrix(params, 2.5)
     for flag in (True, False):  # a bool is not a count, though it indexes as one
         with pytest.raises(ValueError):
             build_matrix(params, flag)

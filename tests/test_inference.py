@@ -1,11 +1,12 @@
 """Bayesian inversion and signature optimisation against the enumeration oracle."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from countfix.detector import ConditionalMatrix, DetectorParams, build_matrix
@@ -250,6 +251,47 @@ def test_results_copy_the_callers_arrays(kind, frozen):
         np.testing.assert_array_equal(arr, given[key])
     for key, arr in given.items():
         assert arr.flags.writeable is not frozen, key
+
+
+def _with_negative_zeros(value):
+    """`value` with each zero of a float array made -0.0; anything else as it is."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        return np.where(value == 0.0, -0.0, value)
+    return value
+
+
+def _negative_zero_fields(result):
+    """The float array fields of a result that hold a -0.0."""
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    return [name for name, value in fields.items()
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f"
+            and np.signbit(value[value == 0.0]).any()]
+
+
+_ZEROS = st.sampled_from([-0.0, 0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p_loss=_ZEROS | st.floats(0.01, 1.0),
+    lam=_ZEROS | st.floats(0.01, 3.0),
+    weights=st.lists(_ZEROS | st.floats(0.01, 2.0), min_size=1, max_size=5).filter(lambda w: max(w) > 0),
+)
+@example(p_loss=0.5, lam=0.0, weights=[-0.0, 1.0, 1.0])  # a prior [-0.0, 0.5, 0.5] once gave P(0|m) = -0.0
+def test_no_result_array_holds_a_negative_zero(p_loss, lam, weights):
+    w = np.array(weights)
+    prior = NumberPrior(probs=w / w.sum(), label="given")
+    built = build_matrix(DetectorParams(p_loss=p_loss, lam=lam), prior.n_max)
+    given_matrix = ConditionalMatrix(built.n_max, built.m_max, _with_negative_zeros(built.entries))
+    results = [prior, built, given_matrix]
+    for matrix in (built, given_matrix):
+        post = posterior(matrix, prior)
+        report = optimisation_map(post)
+        results += [post, report]
+        results += [type(r)(**{f.name: _with_negative_zeros(getattr(r, f.name)) for f in dataclasses.fields(r)})
+                    for r in (post, report)]
+    for result in results:
+        assert _negative_zero_fields(result) == [], type(result).__name__
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
