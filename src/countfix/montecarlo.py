@@ -6,46 +6,51 @@ Poisson(lam) number of dark counts. The sampler builds its own probability
 tables and shares no code with countfix.detector, whose results it checks.
 
 A histogram of independent shots is itself a multinomial draw, so the
-samplers draw histograms, not shots. `shots` shots with n incident photons
-split into survivor numbers by multinomial(shots, binomial pmf); the c_s
-shots with s survivors then split into dark counts d by multinomial(c_s,
-Poisson pmf), and each adds to the measured count m = s + d. The work grows
-with the (survivor, dark) support, not with the number of shots.
+samplers draw histograms, not shots. A shot's measured count m = S + D
+follows the convolution of the binomial law of its survivors S with the
+Poisson law of its dark counts D, so `shots` shots with n incident photons
+split over m in one multinomial(shots, law of m). The work grows with the
+support of that law, not with the number of shots.
 
 Reproducibility contract. All randomness comes from numpy's Generator on
 the Philox 4x64 counter-based generator. The 64-bit seed is used directly
 as the Philox key, and disjoint substreams are carved out of the 256-bit
 counter space: the conditional-column stream for incident number n starts
 at counter (0 << 192) | (n << 128), the joint prior-then-detector stream at
-(1 << 192). Column n makes two Generator.multinomial calls on its stream:
-
-1. the survivor counts, multinomial(shots, binomial pmf), over the survivor
-   numbers in increasing order;
-2. in one call, the dark counts of every survivor number s that has shots,
-   multinomial(survivor_counts[s], Poisson pmf), one row per s in
-   increasing order, over the dark counts in decreasing probability (a
-   stable sort, so ties keep increasing d).
+(1 << 192). Column n makes one Generator.multinomial call on its stream,
+multinomial(shots, law of m), over the counts m of positive probability in
+decreasing probability (a stable sort, so ties keep increasing m).
 
 The joint stream first draws the incident numbers, multinomial(shots, prior
-pmf), then makes the same two calls for each drawn n in increasing order.
-numpy gives a draw's rounding remainder to its last category, so each
-multinomial sees only the categories of positive probability, and a number
-of zero weight is never drawn. Histograms are therefore bit-identical for a
-given (seed, params, shots) and numpy's multinomial stream, which NEP 19
-does not freeze across numpy versions. This layout dates from version
-0.3.0; earlier versions drew shot by shot, so their histograms differ.
-numpy counts in int64, so ShotConfig holds fewer than 2**63 shots.
+pmf) over the numbers of positive weight in increasing order, then makes
+the same call for each drawn n in increasing order. Only categories of
+positive probability reach numpy, so a number of zero weight is never
+drawn. Histograms are therefore bit-identical for a given (seed, params,
+shots) and numpy's multinomial stream, which NEP 19 does not freeze across
+numpy versions. This layout dates from version 0.5.0; 0.3.0 and 0.4.0 drew
+the survivors first and then one row of dark counts per survivor number,
+and earlier versions drew shot by shot, so their histograms differ. numpy
+counts in int64, so ShotConfig holds fewer than 2**63 shots.
 
-Each pmf is the law that inverting its CDF samples, np.diff(np.minimum(cdf,
-1.0), prepend=0.0): the first entry at or above 1 takes the rest of the
-mass. The binomial and Poisson CDFs are built from the log-ratio recurrence
-of their pmfs, so no p_loss**n underflows; the Poisson CDF is cut at its
-1 - 1e-12 quantile, and the mass beyond the cut goes to the last entry.
-numpy draws the categories in turn, each as a binomial of the shots left,
-and stops once a row's shots are used up; ordering the dark counts by
-decreasing probability ends that loop near the mode, not after the left
-tail. The probability left is found by subtracting from 1, so a category is
-drawn with an absolute error of about 1e-16 in its probability.
+The law of m is np.convolve of the binomial pmf of S with the Poisson pmf
+of D, divided by its sum. Each pmf is built from its mode outward by the
+ratio of neighbouring entries (pmf(s) / pmf(s - 1) = (n + 1 - s) q / (s (1
+- q)) with q = 1 - p_loss, and pmf(d) / pmf(d - 1) = lam / d), so every
+entry carries a relative error of a few roundings per step from the mode
+and no p_loss**n underflows. A call builds the Poisson pmf once; its table
+is cut at the 1 - 1e-12 quantile, and dividing the law by its sum spreads
+the mass beyond the cut over every m in proportion. The prior's pmf is its
+weights, with the first cumulative weight at or above 1 taking the rest of
+the mass.
+
+numpy draws the categories in turn, each as a binomial of the shots left
+with probability p_j / (1 - p_0 - ... - p_(j-1)), stops once the shots are
+used up, and gives the shots left to the last category. Listing m in
+decreasing probability ends that loop near the mode. The divided law sums
+to 1 within about k * 2**-53 for k categories, and numpy reads the
+probability left by subtracting from 1, so the least likely m, which comes
+last, absorbs that rounding: each m is drawn with an absolute error of
+about k * 2**-53 in its probability.
 """
 
 from __future__ import annotations
@@ -139,12 +144,13 @@ def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     alone.
     """
     n_max = _check_count(n_max, "n_max")
-    q = 1.0 - config.params.p_loss
-    dark = _dark_counts(config.params.lam)
+    dark = _poisson_pmf(config.params.lam)
+    k = np.arange(1.0, n_max + 1)
     columns = []
     for n in range(n_max + 1):
-        counts = np.zeros(n + dark[0], dtype=np.int64)
-        _detect(column_stream(config.seed, n), config.shots, _pmf(_binomial_cdf(q, n)), dark, counts)
+        counts = np.zeros(n + len(dark), dtype=np.int64)
+        binomial = _binomial_pmf(config.params.p_loss, n, k)
+        _draw(column_stream(config.seed, n), config.shots, binomial, dark, counts)
         columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
     return columns
 
@@ -156,14 +162,14 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
     histogram on its total reproduces the Bayes posterior P(n|m)
     empirically.
     """
-    q = 1.0 - config.params.p_loss
-    dark = _dark_counts(config.params.lam)
+    dark = _poisson_pmf(config.params.lam)
     n_top = len(prior.probs) - 1
-    counts = np.zeros((n_top + 1, n_top + dark[0]), dtype=np.int64)
+    k = np.arange(1.0, n_top + 1)
+    counts = np.zeros((n_top + 1, n_top + len(dark)), dtype=np.int64)
     stream = joint_stream(config.seed)
-    incident = _multinomial(stream, config.shots, _pmf(_prior_cdf(prior.probs)))
+    incident = _multinomial(stream, config.shots, _prior_pmf(prior.probs))
     for n in np.flatnonzero(incident).tolist():
-        _detect(stream, incident[n], _pmf(_binomial_cdf(q, n)), dark, counts[n])
+        _draw(stream, incident[n], _binomial_pmf(config.params.p_loss, n, k), dark, counts[n])
     return counts
 
 
@@ -172,24 +178,18 @@ def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def _detect(
-    stream: np.random.Generator,
-    shots: int,
-    survivor_pmf: np.ndarray,
-    dark: tuple[int, np.ndarray, np.ndarray],
-    out: np.ndarray,
+def _draw(
+    stream: np.random.Generator, shots: int, binomial: np.ndarray, dark: np.ndarray, out: np.ndarray
 ) -> None:
-    """Add to out[m] the histogram of `shots` shots whose survivor number
-    follows survivor_pmf, plus a dark count from _dark_counts."""
-    _, d, p = dark
-    survivors = _multinomial(stream, shots, survivor_pmf)
-    s = np.flatnonzero(survivors)
-    # row i holds the dark counts of the shots with s[i] survivors, over d;
-    # a row with few shots is mostly 0, so only its other entries are added
-    rows = stream.multinomial(survivors[s], p).reshape(-1)
-    at = np.flatnonzero(rows)
-    i, j = np.divmod(at, len(d))
-    np.add.at(out, s[i] + d[j], rows[at])
+    """Write to out[m] the histogram of `shots` shots whose survivors follow
+    binomial and whose dark counts follow dark (each up to a constant
+    factor): one multinomial over the law of m = S + D, their convolution
+    divided by its sum, restricted to its positive entries in decreasing
+    probability (ties in increasing m)."""
+    law = np.convolve(binomial, dark)
+    law /= law.sum()
+    m = np.argsort(-law, kind="stable")[: np.count_nonzero(law)]
+    out[m] = stream.multinomial(shots, law[m])
 
 
 def _multinomial(stream: np.random.Generator, shots: int, pmf: np.ndarray) -> np.ndarray:
@@ -200,49 +200,54 @@ def _multinomial(stream: np.random.Generator, shots: int, pmf: np.ndarray) -> np
     return counts
 
 
-def _dark_counts(lam: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """The Poisson table's length, its dark counts of positive probability in
-    decreasing probability (ties in increasing order), and their probabilities."""
-    pmf = _pmf(_poisson_cdf(lam))
-    d = np.flatnonzero(pmf)
-    d = d[np.argsort(-pmf[d], kind="stable")]
-    return len(pmf), d, pmf[d]
+def _binomial_pmf(p_loss: float, n: int, k: np.ndarray) -> np.ndarray:
+    """Binomial(n, 1 - p_loss) pmf over s = 0..n, up to a constant factor;
+    k holds 1.0, 2.0, ... up to at least n.
+
+    The mode holds 1, and each entry further out is its neighbour times
+    pmf(s) / pmf(s - 1) = (n + 1 - s) q / (s (1 - q)), q = 1 - p_loss, so an
+    entry carries about three roundings per step from the mode, and none
+    underflows before the entries nearer the mode.
+    """
+    q = 1.0 - p_loss
+    pmf = np.zeros(n + 1)
+    if q in (0.0, 1.0):  # every photon is lost, or every photon survives
+        pmf[round(n * q)] = 1.0
+        return pmf
+    odds = q / (1.0 - q)
+    mode = min(n, int((n + 1) * q))
+    pmf[mode] = 1.0
+    # pmf(s) for s = mode + 1..n, then pmf(s - 1) for s = mode..1
+    pmf[mode + 1 :] = np.cumprod(k[: n - mode][::-1] / k[mode:n] * odds)
+    pmf[:mode] = np.cumprod(k[:mode][::-1] / k[n - mode : n] / odds)[::-1]
+    return pmf
 
 
-def _pmf(cdf: np.ndarray) -> np.ndarray:
-    """The law that inverting cdf samples: its first entry at or above 1 ends it."""
+def _prior_pmf(probs: np.ndarray) -> np.ndarray:
+    """The prior's weights, with the first cumulative weight at or above 1
+    taking the rest of the mass, so no draw lands on a trailing zero weight."""
+    cdf = np.cumsum(probs)
+    cdf[np.flatnonzero(probs)[-1] :] = 1.0
     return np.diff(np.minimum(cdf, 1.0), prepend=0.0)
 
 
-def _binomial_cdf(q: float, n: int) -> np.ndarray:
-    """P(S <= s) for S ~ Binomial(n, q) and s = 0..n, ending in 1."""
-    s = np.arange(n + 1)
-    if q in (0.0, 1.0):  # every photon is lost, or every photon survives
-        return np.where(s >= n * q, 1.0, 0.0)
-    # log pmf(s) - log pmf(s - 1) for 1 <= s <= n; log pmf(0) = n log(1 - q)
-    ratios = np.log((n - s[1:] + 1) / s[1:]) + math.log(q / (1.0 - q))
-    log_pmf = n * math.log1p(-q) + np.concatenate([[0.0], np.cumsum(ratios)])
-    cdf = np.cumsum(np.exp(log_pmf))
-    cdf[-1] = 1.0
-    return cdf
+def _poisson_pmf(lam: float) -> np.ndarray:
+    """Poisson(lam) pmf over d = 0..q, q the smallest count with
+    P(D > q) <= 1e-12; the mass beyond q is left out.
 
-
-def _prior_cdf(probs: np.ndarray) -> np.ndarray:
-    """P(N <= n) for n = 0..len(probs) - 1, exactly 1 from the last positive weight on."""
-    cdf = np.cumsum(probs)
-    cdf[np.flatnonzero(probs)[-1] :] = 1.0  # so no draw lands on a trailing zero weight
-    return cdf
-
-
-def _poisson_cdf(lam: float) -> np.ndarray:
-    """P(D <= d) for D ~ Poisson(lam), cut at the 1 - 1e-12 quantile, ending in 1."""
+    Built like _binomial_pmf, from the mode outward with pmf(d) / pmf(d - 1)
+    = lam / d, and normalised over a table that holds all but about e^-60
+    of the mass.
+    """
     if lam == 0.0:
         return np.ones(1)
     # Beyond lam + 12 sqrt(lam) + 40 the pmf is below about e^-60.
-    d = np.arange(1, math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0))
-    # log pmf(d) - log pmf(d - 1) = log(lam / d); log pmf(0) = -lam
-    pmf = np.exp(-lam + np.concatenate([[0.0], np.cumsum(np.log(lam / d))]))
+    d = np.arange(1.0, math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0))
+    mode = int(lam)
+    pmf = np.empty(len(d) + 1)
+    pmf[mode] = 1.0
+    pmf[mode + 1 :] = np.cumprod(lam / d[mode:])
+    pmf[:mode] = np.cumprod(d[:mode][::-1] / lam)[::-1]
+    pmf /= pmf.sum()
     tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[d] = P(d < D < len(pmf))
-    cdf = np.cumsum(pmf[: np.count_nonzero(tail > _POISSON_TABLE_TAIL) + 1])
-    cdf[-1] = 1.0
-    return cdf
+    return pmf[: np.count_nonzero(tail > _POISSON_TABLE_TAIL) + 1]

@@ -13,6 +13,7 @@ reference values come from mpmath at 50 significant digits.
 """
 
 import decimal
+import functools
 import json
 import math
 
@@ -44,6 +45,23 @@ def conv_column(p_loss: float, lam: float, n: int, m_max: int) -> np.ndarray:
     surv = stats.binom.pmf(np.arange(n + 1), n, 1.0 - p_loss)
     dark = stats.poisson.pmf(np.arange(m_max + 1), lam)
     return np.convolve(surv, dark)[: m_max + 1]
+
+
+def cut_conv_law(p_loss: float, lam: float, n: int, q: int) -> np.ndarray:
+    """The law of m = S + D on 0..n + q, with S ~ Binomial(n, 1-p_loss) from
+    scipy and D ~ Poisson(lam) conditioned on D <= q, its pmf from mpmath."""
+    surv = stats.binom.pmf(np.arange(n + 1), n, 1.0 - p_loss)
+    law = np.convolve(surv, _poisson_pmfs_exact(lam, q))
+    return law / law.sum()
+
+
+@functools.lru_cache(maxsize=None)
+def _poisson_pmfs_exact(lam: float, q: int) -> np.ndarray:
+    if lam == 0.0:
+        return np.ones(1)
+    pmfs = np.array([float(poisson_pmf_exact(lam, d)) for d in range(q + 1)])
+    pmfs.setflags(write=False)
+    return pmfs
 
 
 def poisson_tail_quantile(lam: float, epsilon: float) -> int:

@@ -209,8 +209,8 @@ def test_json_format(tmp_path):
     ("simulate", ["--p-loss", "0.5", "--lambda", "1", "--shots", "1000", "--n-max", "5"]),
 ])
 def test_json_output_matches_fixture_bytes(command, args, tmp_path):
-    # the tables were written by the cell-by-cell renderer of countfix 0.2.0, the
-    # simulated counts by the histogram sampler of 0.3.0, and summary.json by 0.4.0
+    # the tables were written by the cell-by-cell renderer of countfix 0.2.0, and
+    # the simulated counts, one draw per column, and summary.json by 0.5.0
     res = run_cli(command, *args, "--format", "json", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     expected = FIXTURES / command

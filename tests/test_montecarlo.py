@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from countfix import montecarlo
 from countfix.detector import DetectorParams, build_matrix
@@ -22,7 +23,7 @@ from countfix.montecarlo import (
     joint_stream,
 )
 from countfix.priors import custom_prior, pdc_prior, uniform_prior
-from oracles import conv_column, poisson_tail_quantile, tv_distance
+from oracles import conv_column, cut_conv_law, poisson_tail_quantile, tv_distance
 
 NOISY = DetectorParams(p_loss=0.5, lam=1.0)
 
@@ -60,11 +61,6 @@ def test_shot_mean_and_variance_match_model():
     assert var == pytest.approx(sigma**2, rel=0.02)
 
 
-def _pmf(cdf):
-    """The law that an inverse-CDF draw from cdf samples."""
-    return np.diff(np.minimum(cdf, 1.0), prepend=0.0)
-
-
 def _draw(stream, shots, pmf):
     """{category: count} from one multinomial call over pmf's positive
     categories, in increasing order."""
@@ -74,17 +70,17 @@ def _draw(stream, shots, pmf):
 
 def _add_shots(stream, shots, n, params, out):
     """Add to out the histogram of `shots` shots with n incident photons, in
-    the documented call order: the survivor counts, then in one call a
-    dark-count row for each survivor number with shots, over the dark
-    counts in decreasing probability."""
-    survivors = _draw(stream, shots, _pmf(montecarlo._binomial_cdf(1.0 - params.p_loss, n)))
-    dark_pmf = _pmf(montecarlo._poisson_cdf(params.lam))
-    # sorted() is stable: equally likely dark counts keep increasing order
-    dark = sorted((d for d in range(len(dark_pmf)) if dark_pmf[d] > 0), key=lambda d: -dark_pmf[d])
-    rows = [s for s, c in survivors.items() if c]
-    for s, row in zip(rows, stream.multinomial([survivors[s] for s in rows], dark_pmf[dark])):
-        for d, c in zip(dark, row.tolist()):
-            out[s + d] += c
+    the documented call: one multinomial over the measured counts of
+    positive probability, in decreasing probability, whose law is the
+    sampler's binomial pmf convolved with its Poisson pmf, divided by its
+    sum."""
+    binomial = montecarlo._binomial_pmf(params.p_loss, n, np.arange(1.0, n + 1))
+    law = np.convolve(binomial, montecarlo._poisson_pmf(params.lam))
+    law = law / law.sum()
+    # sorted() is stable: equally likely counts keep increasing order
+    ms = sorted((m for m in range(len(law)) if law[m] > 0), key=lambda m: -law[m])
+    for m, c in zip(ms, stream.multinomial(shots, law[ms]).tolist()):
+        out[m] += c
 
 
 def _column_by_layout(seed, n, shots, params, size):
@@ -98,7 +94,7 @@ def _joint_by_layout(seed, shots, prior, params, shape):
     of each drawn n in increasing order."""
     stream = joint_stream(seed)
     counts = np.zeros(shape, dtype=np.int64)
-    for n, c in _draw(stream, shots, _pmf(montecarlo._prior_cdf(prior.probs))).items():
+    for n, c in _draw(stream, shots, montecarlo._prior_pmf(prior.probs)).items():
         if c:
             _add_shots(stream, c, n, params, counts[n])
     return counts
@@ -121,7 +117,7 @@ def test_joint_follows_stream_layout(p_loss):
 
 
 def test_large_dark_rate_follows_stream_layout():
-    # at lam 800 a dark-count row spans hundreds of counts, drawn from the mode outward
+    # at lam 800 a column's law spans hundreds of counts, drawn from the mode outward
     params = DetectorParams(p_loss=0.3, lam=800.0)
     config = ShotConfig(params=params, seed=21, shots=3000)
     for col in empirical_matrix(config, 6):
@@ -329,15 +325,15 @@ def test_column_errors_reach_the_caller(monkeypatch, failing):
 
 
 def test_the_first_failure_is_the_one_raised(monkeypatch):
-    # columns 3 and 6 both fail in their dark-count draw, the second
-    # multinomial call: column 3's error is raised and column 6 is never drawn
+    # columns 3 and 6 both fail in their draw, their one multinomial call:
+    # column 3's error is raised and column 6 is never drawn
     errors = {3: ValueError("column 3 failed"), 6: ValueError("column 6 failed")}
     opened = []
 
     def stream(seed, n):
         opened.append(n)
         if n in errors:
-            return _FailingDraw(column_stream(seed, n), 2, errors[n])
+            return _FailingDraw(column_stream(seed, n), 1, errors[n])
         return column_stream(seed, n)
 
     monkeypatch.setattr(montecarlo, "column_stream", stream)
@@ -368,11 +364,11 @@ def test_helper_base_exceptions_reach_the_caller(monkeypatch):
 
 def test_joint_helper_thread_errors_reach_the_caller(monkeypatch):
     # the joint stream's draws are the incident numbers (call 1), then the
-    # survivors and dark counts of each drawn n; an error in any of them
-    # reaches the caller unchanged
+    # measured counts of each drawn n; an error in any of them reaches the
+    # caller unchanged
     config = ShotConfig(params=NOISY, seed=0, shots=100)
     prior = pdc_prior(0.7, n_max=5)
-    calls = 1 + 2 * np.count_nonzero(empirical_joint(config, prior).sum(axis=1))
+    calls = 1 + np.count_nonzero(empirical_joint(config, prior).sum(axis=1))
     for call in range(1, calls + 1):
         error = ValueError(f"draw {call} failed")
         monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _FailingDraw(joint_stream(seed), call, error))
@@ -381,6 +377,78 @@ def test_joint_helper_thread_errors_reach_the_caller(monkeypatch):
         assert caught.value is error
     monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _FailingDraw(joint_stream(seed), calls + 1, error))
     assert empirical_joint(config, prior).sum() == 100  # no draw past the last one
+
+
+class _Recording:
+    """Wraps a stream and records the pvals of each multinomial call. With
+    ranks set, every call after the first returns the rank of each category
+    (1, 2, ...) instead of drawing, so a histogram shows which category
+    each probability belongs to."""
+
+    def __init__(self, stream, calls, ranks=False):
+        self._stream, self._calls, self._ranks = stream, calls, ranks
+
+    def multinomial(self, shots, pvals):
+        self._calls.append(np.array(pvals))
+        if self._ranks and len(self._calls) > 1:
+            return np.arange(1, len(pvals) + 1)
+        return self._stream.multinomial(shots, pvals)
+
+
+def test_one_multinomial_per_column_and_per_drawn_number(monkeypatch):
+    # a column is one draw over its law of m, and the joint stream draws the
+    # incident numbers and then each drawn number's column
+    config = ShotConfig(params=NOISY, seed=0, shots=10**4)
+    prior = pdc_prior(0.7, n_max=9)
+    per_column = {}
+    monkeypatch.setattr(montecarlo, "column_stream",
+                        lambda seed, n: _Recording(column_stream(seed, n), per_column.setdefault(n, [])))
+    joint_calls = []
+    monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _Recording(joint_stream(seed), joint_calls))
+    for n_max in (0, 1, 9):
+        per_column.clear()
+        empirical_matrix(config, n_max)
+        assert {n: len(calls) for n, calls in per_column.items()} == {n: 1 for n in range(n_max + 1)}
+    counts = empirical_joint(config, prior)
+    assert len(joint_calls) == 1 + np.count_nonzero(counts.sum(axis=1))
+
+
+_GRID_N = (0, 1, 19, 300, 999)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0, 800.0, 2500.0])
+def test_each_law_handed_to_numpy_is_the_convolution(monkeypatch, lam):
+    # a prior on the grid's incident numbers draws each of them, and the
+    # stream answers each column's call with ranks, so counts[n, m] names
+    # the probability handed to numpy for m
+    q = poisson_tail_quantile(lam, 1e-12)
+    prior = custom_prior([1.0 if n in _GRID_N else 0.0 for n in range(_GRID_N[-1] + 1)])
+    for p_loss in (0.0, 1e-9, 0.5, 0.99, 1.0):
+        config = ShotConfig(params=DetectorParams(p_loss, lam), seed=0, shots=10**6)
+        calls = []
+        monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _Recording(joint_stream(seed), calls, True))
+        counts = empirical_joint(config, prior)
+        assert len(calls) == 1 + len(_GRID_N)
+        for n, pvals in zip(_GRID_N, calls[1:]):
+            ranks = counts[n, : n + q + 1]
+            assert not counts[n, n + q + 1 :].any()
+            m = np.argsort(ranks)[np.count_nonzero(ranks == 0) :]  # m in the order handed to numpy
+            np.testing.assert_array_equal(ranks[m], np.arange(1, len(pvals) + 1))
+            # no zero, non-increasing, and ties in increasing m
+            assert np.all(pvals > 0.0)
+            assert np.all((pvals[1:] < pvals[:-1]) | ((pvals[1:] == pvals[:-1]) & (m[1:] > m[:-1])))
+            law = np.zeros(n + q + 1)
+            law[m] = pvals
+            expected = cut_conv_law(p_loss, lam, n, q)
+            seen = expected > 1e-250
+            np.testing.assert_allclose(law[seen], expected[seen], rtol=1e-12, atol=0, err_msg=f"{p_loss}, {n}")
+        # each column of empirical_matrix hands numpy the same law
+        per_column = {}
+        monkeypatch.setattr(montecarlo, "column_stream",
+                            lambda seed, n: _Recording(column_stream(seed, n), per_column.setdefault(n, [])))
+        empirical_matrix(config, 19)
+        for n, pvals in zip(_GRID_N[:3], calls[1:]):
+            np.testing.assert_array_equal(per_column[n][0], pvals)
 
 
 def _peak(draw):
@@ -413,18 +481,37 @@ def test_joint_threads_keep_the_shots_in_flight():
     assert _peak(lambda: empirical_joint(large, prior)) <= 1.1 * _peak(lambda: empirical_joint(small, prior))
 
 
+# the two-sided false-alarm rate of a 5 standard error bound, about 5.7e-7
+_FALSE_ALARM = 2.0 * stats.norm.sf(5.0)
+
+
 def _assert_binomial_cells(samples, probs, shots):
     """Across seeds (axis 0), each cell has the mean shots * P and the
     variance shots * P * (1 - P) of a Binomial(shots, P) count, within 5
-    standard errors; probs holds P per cell."""
+    standard errors; probs holds P per cell.
+
+    A cell expected to hold fewer than 25 shots over the whole ensemble has
+    a 5 standard error band reaching below 0 shots, so the normal bound does
+    not hold there. Its ensemble total, exactly Binomial(seeds * shots, P),
+    must instead lie within both tails of that law at the same two-sided
+    false-alarm rate.
+    """
     seeds = len(samples)
     mean = shots * probs
     var = mean * (1.0 - probs)
     fourth = var * (1.0 + 3.0 * (shots - 2) * probs * (1.0 - probs))  # central moment
-    np.testing.assert_array_less(np.abs(samples.mean(axis=0) - mean), 5.0 * np.sqrt(var / seeds) + 1e-12)
+    rare = seeds * mean < 25.0
+    common = ~rare
     np.testing.assert_array_less(
-        np.abs(samples.var(axis=0, ddof=1) - var), 5.0 * np.sqrt((fourth - var**2) / seeds) + 1e-12
+        np.abs(samples.mean(axis=0) - mean)[common], (5.0 * np.sqrt(var / seeds) + 1e-12)[common]
     )
+    np.testing.assert_array_less(
+        np.abs(samples.var(axis=0, ddof=1) - var)[common],
+        (5.0 * np.sqrt((fourth - var**2) / seeds) + 1e-12)[common],
+    )
+    total, p = samples.sum(axis=0)[rare], probs[rare]
+    tails = np.minimum(stats.binom.sf(total - 1, seeds * shots, p), stats.binom.cdf(total, seeds * shots, p))
+    np.testing.assert_array_less(_FALSE_ALARM / 2.0, tails)
 
 
 def test_seed_ensemble_matches_binomial_cell_moments():
@@ -468,8 +555,8 @@ def test_joint_memory_stays_near_its_result():
 )
 def test_joint_builds_survivor_rows_only_for_drawn_numbers(monkeypatch, prior, rows):
     built = []
-    binomial_cdf = montecarlo._binomial_cdf
-    monkeypatch.setattr(montecarlo, "_binomial_cdf", lambda q, n: built.append(n) or binomial_cdf(q, n))
+    binomial_pmf = montecarlo._binomial_pmf
+    monkeypatch.setattr(montecarlo, "_binomial_pmf", lambda p_loss, n, k: built.append(n) or binomial_pmf(p_loss, n, k))
     assert empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), prior).sum() == 100
     assert built == rows
 
@@ -520,7 +607,7 @@ def test_joint_counts_total_and_prior_marginal():
 
 
 def test_large_dark_rate_table_is_usable():
-    # inverse-CDF table keeps working far above the usual rates
+    # the Poisson table keeps working far above the usual rates
     params = DetectorParams(p_loss=0.0, lam=50.0)
     [col] = empirical_matrix(ShotConfig(params=params, seed=0, shots=10**4), 0)
     m = np.arange(len(col.counts))
@@ -545,7 +632,7 @@ def test_shot_config_validation():
 
 
 def test_matrix_memory_stays_near_its_result():
-    # the survivor CDFs are built one column at a time, never as an (n_max+1)^2 table
+    # the binomial pmfs are built one column at a time, never as an (n_max+1)^2 table
     tracemalloc.start()
     try:
         columns = empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=1), 2000)
