@@ -202,25 +202,26 @@ def _multinomial(stream: np.random.Generator, shots: int, pmf: np.ndarray) -> np
 
 def _binomial_pmf(p_loss: float, n: int, k: np.ndarray) -> np.ndarray:
     """Binomial(n, 1 - p_loss) pmf over s = 0..n, up to a constant factor;
-    k holds 1.0, 2.0, ... up to at least n.
-
-    The mode holds 1, and each entry further out is its neighbour times
-    pmf(s) / pmf(s - 1) = (n + 1 - s) q / (s (1 - q)), q = 1 - p_loss, so an
-    entry carries about three roundings per step from the mode, and none
-    underflows before the entries nearer the mode.
-    """
+    k holds 1.0, 2.0, ... up to at least n. Built by _from_mode with
+    pmf(s) / pmf(s - 1) = (n + 1 - s) q / (s (1 - q)), q = 1 - p_loss."""
     q = 1.0 - p_loss
-    pmf = np.zeros(n + 1)
     if q in (0.0, 1.0):  # every photon is lost, or every photon survives
+        pmf = np.zeros(n + 1)
         pmf[round(n * q)] = 1.0
         return pmf
     odds = q / (1.0 - q)
     mode = min(n, int((n + 1) * q))
-    pmf[mode] = 1.0
-    # pmf(s) for s = mode + 1..n, then pmf(s - 1) for s = mode..1
-    pmf[mode + 1 :] = np.cumprod(k[: n - mode][::-1] / k[mode:n] * odds)
-    pmf[:mode] = np.cumprod(k[:mode][::-1] / k[n - mode : n] / odds)[::-1]
-    return pmf
+    # the ratios for s = mode + 1..n, then the inverse ratios for s = mode..1
+    return _from_mode(k[: n - mode][::-1] / k[mode:n] * odds, k[:mode][::-1] / k[n - mode : n] / odds)
+
+
+def _from_mode(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """A unimodal pmf up to a constant factor: 1 at its mode, each entry
+    above it the one below times up[i], each entry below it the one above
+    times down[i], nearest the mode first. An entry carries a few roundings
+    per step from the mode, and none underflows before the entries nearer
+    the mode."""
+    return np.concatenate([np.cumprod(down)[::-1], [1.0], np.cumprod(up)])
 
 
 def _prior_pmf(probs: np.ndarray) -> np.ndarray:
@@ -235,19 +236,15 @@ def _poisson_pmf(lam: float) -> np.ndarray:
     """Poisson(lam) pmf over d = 0..q, q the smallest count with
     P(D > q) <= 1e-12; the mass beyond q is left out.
 
-    Built like _binomial_pmf, from the mode outward with pmf(d) / pmf(d - 1)
-    = lam / d, and normalised over a table that holds all but about e^-60
-    of the mass.
+    Built by _from_mode with pmf(d) / pmf(d - 1) = lam / d, and normalised
+    over a table that holds all but about e^-60 of the mass.
     """
     if lam == 0.0:
         return np.ones(1)
     # Beyond lam + 12 sqrt(lam) + 40 the pmf is below about e^-60.
     d = np.arange(1.0, math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0))
     mode = int(lam)
-    pmf = np.empty(len(d) + 1)
-    pmf[mode] = 1.0
-    pmf[mode + 1 :] = np.cumprod(lam / d[mode:])
-    pmf[:mode] = np.cumprod(d[:mode][::-1] / lam)[::-1]
+    pmf = _from_mode(lam / d[mode:], d[:mode][::-1] / lam)
     pmf /= pmf.sum()
     tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[d] = P(d < D < len(pmf))
     return pmf[: np.count_nonzero(tail > _POISSON_TABLE_TAIL) + 1]
