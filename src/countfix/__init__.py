@@ -27,7 +27,7 @@ from .montecarlo import (  # noqa: E402
 )
 from .priors import NumberPrior, custom_prior, pdc_prior, uniform_prior  # noqa: E402
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "ConditionalMatrix",

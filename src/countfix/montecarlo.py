@@ -17,40 +17,49 @@ the Philox 4x64 counter-based generator. The 64-bit seed is used directly
 as the Philox key, and disjoint substreams are carved out of the 256-bit
 counter space: the conditional-column stream for incident number n starts
 at counter (0 << 192) | (n << 128), the joint prior-then-detector stream at
-(1 << 192). Column n makes one Generator.multinomial call on its stream,
-multinomial(shots, law of m), over the counts m of positive probability in
-decreasing probability (a stable sort, so ties keep increasing m).
+(1 << 192). Every draw is one Generator.multinomial call by one rule: the
+weights are divided by their sum, and the entries of positive probability
+are handed to numpy in increasing probability (a stable sort, so ties keep
+increasing index). Column n makes one such call on its stream, over the
+law of m. The joint stream first makes one over the prior's weights to
+draw the incident numbers, then the column's call for each drawn n in
+increasing order. Only categories of positive probability reach numpy, so
+a number of zero weight is never drawn.
 
-The joint stream first draws the incident numbers, multinomial(shots, prior
-pmf) over the numbers of positive weight in increasing order, then makes
-the same call for each drawn n in increasing order. Only categories of
-positive probability reach numpy, so a number of zero weight is never
-drawn. Histograms are therefore bit-identical for a given (seed, params,
-shots) and numpy's multinomial stream, which NEP 19 does not freeze across
-numpy versions. This layout dates from version 0.5.0; 0.3.0 and 0.4.0 drew
-the survivors first and then one row of dark counts per survivor number,
-and earlier versions drew shot by shot, so their histograms differ. numpy
-counts in int64, so ShotConfig holds fewer than 2**63 shots.
+Histograms are therefore bit-identical for a given (seed, params, shots)
+and numpy's multinomial stream, which NEP 19 does not freeze across numpy
+versions. This layout dates from version 0.6.0. 0.5.0 cut the Poisson
+table at its 1 - 1e-12 quantile, listed m in decreasing probability and
+the prior in increasing n; 0.3.0 and 0.4.0 drew the survivors first and
+then one row of dark counts per survivor number; earlier versions drew
+shot by shot. Their histograms differ. numpy counts in int64, so
+ShotConfig holds fewer than 2**63 shots.
 
 The law of m is np.convolve of the binomial pmf of S with the Poisson pmf
-of D, divided by its sum. Each pmf is built from its mode outward by the
-ratio of neighbouring entries (pmf(s) / pmf(s - 1) = (n + 1 - s) q / (s (1
-- q)) with q = 1 - p_loss, and pmf(d) / pmf(d - 1) = lam / d), so every
+of D. Each pmf is built up to a constant factor from its mode outward by
+the ratio of neighbouring entries (pmf(s) / pmf(s - 1) = (n + 1 - s)
+(1 - p_loss) / (s p_loss), and pmf(d) / pmf(d - 1) = lam / d), so every
 entry carries a relative error of a few roundings per step from the mode
-and no p_loss**n underflows. A call builds the Poisson pmf once; its table
-is cut at the 1 - 1e-12 quantile, and dividing the law by its sum spreads
-the mass beyond the cut over every m in proportion. The prior's pmf is its
-weights, with the first cumulative weight at or above 1 taking the rest of
-the mass.
+and no p_loss**n underflows. The odds are read from p_loss itself, so a
+loss too small to change 1 - p_loss still reaches the law. A call builds
+the Poisson pmf once, over d < lam + 12 sqrt(lam) + 40 up to its last
+entry that does not underflow, and cuts it nowhere else: the mass beyond
+that window is below 1e-32 for every lam (about 2e-33 as lam grows), less
+than 1e-13 of a shot at 2**63 shots.
 
 numpy draws the categories in turn, each as a binomial of the shots left
 with probability p_j / (1 - p_0 - ... - p_(j-1)), stops once the shots are
-used up, and gives the shots left to the last category. Listing m in
-decreasing probability ends that loop near the mode. The divided law sums
-to 1 within about k * 2**-53 for k categories, and numpy reads the
-probability left by subtracting from 1, so the least likely m, which comes
-last, absorbs that rounding: each m is drawn with an absolute error of
-about k * 2**-53 in its probability.
+used up, and gives the shots left to the last category. The divided
+weights sum to 1 within about k * 2**-53 for k categories, and numpy reads
+the probability left by subtracting from 1, so that denominator carries
+an absolute error of that size. In increasing probability the denominator
+stays near 1 until the most likely categories, which come last: every
+unlikely category is drawn with a relative error of a few roundings, and
+the absolute error lands where the counts are largest. (In decreasing
+probability it lands on the least likely counts; at 2**62 shots that puts
+hundreds of shots on counts of probability below 1e-60.) The loop then
+visits every category while shots are left, k binomial draws, and the
+convolution that builds the law already costs more.
 """
 
 from __future__ import annotations
@@ -72,7 +81,6 @@ __all__ = [
     "empirical_joint",
 ]
 
-_POISSON_TABLE_TAIL = 1e-12
 _COLUMN_NAMESPACE = 0
 _JOINT_NAMESPACE = 1
 
@@ -149,8 +157,8 @@ def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     columns = []
     for n in range(n_max + 1):
         counts = np.zeros(n + len(dark), dtype=np.int64)
-        binomial = _binomial_pmf(config.params.p_loss, n, k)
-        _draw(column_stream(config.seed, n), config.shots, binomial, dark, counts)
+        law = np.convolve(_binomial_pmf(config.params.p_loss, n, k), dark)
+        _draw(column_stream(config.seed, n), config.shots, law, counts)
         columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
     return columns
 
@@ -167,9 +175,11 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
     k = np.arange(1.0, n_top + 1)
     counts = np.zeros((n_top + 1, n_top + len(dark)), dtype=np.int64)
     stream = joint_stream(config.seed)
-    incident = _multinomial(stream, config.shots, _prior_pmf(prior.probs))
+    incident = np.zeros(n_top + 1, dtype=np.int64)
+    _draw(stream, config.shots, prior.probs, incident)
     for n in np.flatnonzero(incident).tolist():
-        _draw(stream, incident[n], _binomial_pmf(config.params.p_loss, n, k), dark, counts[n])
+        law = np.convolve(_binomial_pmf(config.params.p_loss, n, k), dark)
+        _draw(stream, incident[n], law, counts[n])
     return counts
 
 
@@ -178,39 +188,27 @@ def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def _draw(
-    stream: np.random.Generator, shots: int, binomial: np.ndarray, dark: np.ndarray, out: np.ndarray
-) -> None:
-    """Write to out[m] the histogram of `shots` shots whose survivors follow
-    binomial and whose dark counts follow dark (each up to a constant
-    factor): one multinomial over the law of m = S + D, their convolution
-    divided by its sum, restricted to its positive entries in decreasing
-    probability (ties in increasing m)."""
-    law = np.convolve(binomial, dark)
-    law /= law.sum()
-    m = np.argsort(-law, kind="stable")[: np.count_nonzero(law)]
-    out[m] = stream.multinomial(shots, law[m])
-
-
-def _multinomial(stream: np.random.Generator, shots: int, pmf: np.ndarray) -> np.ndarray:
-    """Counts of `shots` draws from pmf; only its positive entries reach numpy."""
-    counts = np.zeros(len(pmf), dtype=np.int64)
-    drawn = np.flatnonzero(pmf)
-    counts[drawn] = stream.multinomial(shots, pmf[drawn])
-    return counts
+def _draw(stream: np.random.Generator, shots: int, weights: np.ndarray, out: np.ndarray) -> None:
+    """Write to out[i] the counts of `shots` draws of i with probability
+    proportional to weights[i] >= 0: one multinomial over the weights
+    divided by their sum, its positive entries in increasing probability
+    (ties in increasing i)."""
+    p = weights / weights.sum()
+    drawn = np.argsort(p, kind="stable")[p.size - np.count_nonzero(p) :]
+    out[drawn] = stream.multinomial(shots, p[drawn])
 
 
 def _binomial_pmf(p_loss: float, n: int, k: np.ndarray) -> np.ndarray:
     """Binomial(n, 1 - p_loss) pmf over s = 0..n, up to a constant factor;
     k holds 1.0, 2.0, ... up to at least n. Built by _from_mode with
-    pmf(s) / pmf(s - 1) = (n + 1 - s) q / (s (1 - q)), q = 1 - p_loss."""
-    q = 1.0 - p_loss
-    if q in (0.0, 1.0):  # every photon is lost, or every photon survives
+    pmf(s) / pmf(s - 1) = (n + 1 - s) / s times the odds (1 - p_loss) / p_loss,
+    read from p_loss itself, so no small p_loss is lost to 1 - (1 - p_loss)."""
+    if p_loss in (0.0, 1.0):  # every photon survives, or every photon is lost
         pmf = np.zeros(n + 1)
-        pmf[round(n * q)] = 1.0
+        pmf[0 if p_loss else n] = 1.0
         return pmf
-    odds = q / (1.0 - q)
-    mode = min(n, int((n + 1) * q))
+    odds = (1.0 - p_loss) / p_loss
+    mode = min(n, int((n + 1) * (1.0 - p_loss)))
     # the ratios for s = mode + 1..n, then the inverse ratios for s = mode..1
     return _from_mode(k[: n - mode][::-1] / k[mode:n] * odds, k[:mode][::-1] / k[n - mode : n] / odds)
 
@@ -224,27 +222,15 @@ def _from_mode(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cumprod(down)[::-1], [1.0], np.cumprod(up)])
 
 
-def _prior_pmf(probs: np.ndarray) -> np.ndarray:
-    """The prior's weights, with the first cumulative weight at or above 1
-    taking the rest of the mass, so no draw lands on a trailing zero weight."""
-    cdf = np.cumsum(probs)
-    cdf[np.flatnonzero(probs)[-1] :] = 1.0
-    return np.diff(np.minimum(cdf, 1.0), prepend=0.0)
-
-
 def _poisson_pmf(lam: float) -> np.ndarray:
-    """Poisson(lam) pmf over d = 0..q, q the smallest count with
-    P(D > q) <= 1e-12; the mass beyond q is left out.
+    """Poisson(lam) pmf over d = 0..q, up to a constant factor, q the last
+    count below lam + 12 sqrt(lam) + 40 whose entry does not underflow.
 
-    Built by _from_mode with pmf(d) / pmf(d - 1) = lam / d, and normalised
-    over a table that holds all but about e^-60 of the mass.
+    Built by _from_mode with pmf(d) / pmf(d - 1) = lam / d. The mass at and
+    beyond lam + 12 sqrt(lam) + 40 is below 1e-32 of the whole; at lam = 0
+    the table is [1.0].
     """
-    if lam == 0.0:
-        return np.ones(1)
-    # Beyond lam + 12 sqrt(lam) + 40 the pmf is below about e^-60.
     d = np.arange(1.0, math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0))
     mode = int(lam)
     pmf = _from_mode(lam / d[mode:], d[:mode][::-1] / lam)
-    pmf /= pmf.sum()
-    tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[d] = P(d < D < len(pmf))
-    return pmf[: np.count_nonzero(tail > _POISSON_TABLE_TAIL) + 1]
+    return pmf[: np.flatnonzero(pmf)[-1] + 1]

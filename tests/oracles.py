@@ -3,9 +3,9 @@
 Nothing in this module imports countfix. The conditional probability of
 measuring m counts given n incident photons is computed here by exhaustive
 enumeration over (photons lost, dark counts) with plain float arithmetic,
-and alternatively by convolving scipy's binomial and Poisson pmfs. Both
-paths are deliberately different from the library's photon-by-photon
-recurrence.
+and alternatively by convolving binomial and Poisson pmfs, from scipy or
+from mpmath. Both paths are deliberately different from the library's
+photon-by-photon recurrence.
 The dark-count truncation depth is found by a search on scipy's regularized
 incomplete gamma function rather than on a table of pmf values. The table
 renderer formats, and for JSON parses, one cell at a time. The Poisson pmf's
@@ -47,18 +47,25 @@ def conv_column(p_loss: float, lam: float, n: int, m_max: int) -> np.ndarray:
     return np.convolve(surv, dark)[: m_max + 1]
 
 
-def cut_conv_law(p_loss: float, lam: float, n: int, q: int) -> np.ndarray:
-    """The law of m = S + D on 0..n + q, with S ~ Binomial(n, 1-p_loss) from
-    scipy and D ~ Poisson(lam) conditioned on D <= q, its pmf from mpmath."""
-    surv = stats.binom.pmf(np.arange(n + 1), n, 1.0 - p_loss)
-    law = np.convolve(surv, _poisson_pmfs_exact(lam, q))
-    return law / law.sum()
+def conv_law(p_loss: float, lam: float, n: int, q: int) -> np.ndarray:
+    """The law of m = S + D on 0..n + q, with S ~ Binomial(n, 1-p_loss) and
+    D ~ Poisson(lam), each pmf from mpmath with p_loss and lam read as their
+    exact doubles; the mass beyond n + q is left out, and nothing is
+    renormalised."""
+    return np.convolve(_binomial_pmfs_exact(p_loss, n), _poisson_pmfs_exact(lam, q))
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_pmfs_exact(p_loss: float, n: int) -> np.ndarray:
+    with mpmath.workdps(50):
+        lost = mpmath.mpf(p_loss)
+        pmfs = np.array([float(mpmath.binomial(n, s) * (1 - lost) ** s * lost ** (n - s)) for s in range(n + 1)])
+    pmfs.setflags(write=False)
+    return pmfs
 
 
 @functools.lru_cache(maxsize=None)
 def _poisson_pmfs_exact(lam: float, q: int) -> np.ndarray:
-    if lam == 0.0:
-        return np.ones(1)
     pmfs = np.array([float(poisson_pmf_exact(lam, d)) for d in range(q + 1)])
     pmfs.setflags(write=False)
     return pmfs
@@ -86,7 +93,16 @@ def poisson_pmf_exact(lam: float, d: int) -> mpmath.mpf:
     """Poisson(lam) pmf at d to 50 significant digits, lam read as its exact double."""
     with mpmath.workdps(50):
         x = mpmath.mpf(lam)
+        if x == 0:
+            return mpmath.mpf(d == 0)
         return mpmath.exp(-x + d * mpmath.log(x) - mpmath.loggamma(d + 1))
+
+
+def poisson_tail_exact(lam: float, q: int) -> mpmath.mpf:
+    """P(D > q) for D ~ Poisson(lam) to 50 significant digits: the lower
+    regularized incomplete gamma P(q + 1, lam)."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(q + 1, 0, mpmath.mpf(lam), regularized=True)
 
 
 def poisson_text_errors(lam: float, counts, values) -> tuple[int, float]:

@@ -210,7 +210,8 @@ def test_json_format(tmp_path):
 ])
 def test_json_output_matches_fixture_bytes(command, args, tmp_path):
     # the tables were written by the cell-by-cell renderer of countfix 0.2.0, and
-    # the simulated counts, one draw per column, and summary.json by 0.5.0
+    # the simulated counts, one draw per column in increasing probability over
+    # an uncut Poisson table, and summary.json by 0.6.0
     res = run_cli(command, *args, "--format", "json", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     expected = FIXTURES / command

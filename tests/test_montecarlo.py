@@ -23,7 +23,7 @@ from countfix.montecarlo import (
     joint_stream,
 )
 from countfix.priors import custom_prior, pdc_prior, uniform_prior
-from oracles import conv_column, cut_conv_law, poisson_tail_quantile, tv_distance
+from oracles import conv_column, conv_law, poisson_tail_exact, tv_distance
 
 NOISY = DetectorParams(p_loss=0.5, lam=1.0)
 
@@ -61,26 +61,22 @@ def test_shot_mean_and_variance_match_model():
     assert var == pytest.approx(sigma**2, rel=0.02)
 
 
-def _draw(stream, shots, pmf):
-    """{category: count} from one multinomial call over pmf's positive
-    categories, in increasing order."""
-    drawn = [k for k in range(len(pmf)) if pmf[k] > 0]
-    return dict(zip(drawn, stream.multinomial(shots, pmf[drawn]).tolist()))
+def _draw(stream, shots, weights, out):
+    """Add to out the counts of the documented call: one multinomial over
+    the positive weights divided by their sum, in increasing probability."""
+    p = weights / weights.sum()
+    # sorted() is stable: equal weights keep increasing index
+    drawn = sorted((i for i in range(len(p)) if p[i] > 0), key=lambda i: p[i])
+    for i, c in zip(drawn, stream.multinomial(shots, p[drawn]).tolist()):
+        out[i] += c
 
 
 def _add_shots(stream, shots, n, params, out):
-    """Add to out the histogram of `shots` shots with n incident photons, in
-    the documented call: one multinomial over the measured counts of
-    positive probability, in decreasing probability, whose law is the
-    sampler's binomial pmf convolved with its Poisson pmf, divided by its
-    sum."""
+    """Add to out the histogram of `shots` shots with n incident photons:
+    one draw over the sampler's binomial pmf convolved with its Poisson
+    pmf."""
     binomial = montecarlo._binomial_pmf(params.p_loss, n, np.arange(1.0, n + 1))
-    law = np.convolve(binomial, montecarlo._poisson_pmf(params.lam))
-    law = law / law.sum()
-    # sorted() is stable: equally likely counts keep increasing order
-    ms = sorted((m for m in range(len(law)) if law[m] > 0), key=lambda m: -law[m])
-    for m, c in zip(ms, stream.multinomial(shots, law[ms]).tolist()):
-        out[m] += c
+    _draw(stream, shots, np.convolve(binomial, montecarlo._poisson_pmf(params.lam)), out)
 
 
 def _column_by_layout(seed, n, shots, params, size):
@@ -93,10 +89,12 @@ def _joint_by_layout(seed, shots, prior, params, shape):
     """counts[n, m] from joint_stream: the incident numbers, then the shots
     of each drawn n in increasing order."""
     stream = joint_stream(seed)
+    incident = np.zeros(len(prior.probs), dtype=np.int64)
+    _draw(stream, shots, prior.probs, incident)
     counts = np.zeros(shape, dtype=np.int64)
-    for n, c in _draw(stream, shots, montecarlo._prior_pmf(prior.probs)).items():
-        if c:
-            _add_shots(stream, c, n, params, counts[n])
+    for n in range(len(incident)):
+        if incident[n]:
+            _add_shots(stream, incident[n], n, params, counts[n])
     return counts
 
 
@@ -161,9 +159,54 @@ def test_large_photon_numbers_survive_underflow():
 
 @pytest.mark.parametrize("lam", [1e-3, 0.5, 1.0, 10.0, 100.0, 800.0])
 def test_dark_count_table_is_cut_at_its_tail_quantile(lam):
-    # draws stop at the smallest q with P(D > q) <= 1e-12
+    # the table is not cut at a quantile: it runs to the end of its window,
+    # d < lam + 12 sqrt(lam) + 40, past which lies less than 1e-30 of the
+    # mass, below 1e-11 of a shot at 2**63 shots
     [col] = empirical_matrix(ShotConfig(params=DetectorParams(0.0, lam), seed=0, shots=1), 0)
-    assert len(col.counts) == poisson_tail_quantile(lam, 1e-12) + 1
+    assert len(col.counts) == math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0)
+    assert poisson_tail_exact(lam, len(col.counts) - 1) < 1e-30
+
+
+def _assert_counts_follow(counts, law, shots):
+    """counts as drawn from shots * law: each cell expected to hold at least
+    25 shots lies within 6 standard errors of its expectation, and the
+    cells expected to hold fewer hold together a count that a Poisson law
+    of their summed expectation reaches on either side at a rate above
+    half the false-alarm rate of _assert_binomial_cells."""
+    expected = shots * law
+    common = expected >= 25.0
+    z = (counts - expected)[common] / np.sqrt(expected * (1.0 - law))[common]
+    assert np.all(np.abs(z) < 6.0), z
+    total, mean = int(counts[~common].sum()), float(expected[~common].sum())
+    at_least = poisson_tail_exact(mean, total - 1) if total else 1
+    assert min(at_least, 1 - poisson_tail_exact(mean, total)) > _FALSE_ALARM / 2, (total, mean)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 5.0, 100.0])
+def test_tail_beyond_seven_sigma_is_drawn_at_its_exact_rate(lam):
+    # at 2**62 shots, a Poisson table cut at its 1 - 1e-12 quantile leaves
+    # about 10**6 expected shots undrawn past the cut, and m listed in
+    # decreasing probability puts hundreds of shots where fewer than 1e-40
+    # are expected; the law of m is compared up to d = 2 lam + 100, past
+    # any table the sampler builds
+    p_loss, shots, q = 0.3, 2**62, int(2 * lam) + 100
+    columns = empirical_matrix(ShotConfig(params=DetectorParams(p_loss, lam), seed=0, shots=shots), 20)
+    for n in (0, 3, 20):
+        counts = np.zeros(n + q + 1, dtype=np.int64)
+        counts[: len(columns[n].counts)] = columns[n].counts
+        start = math.floor(n * (1 - p_loss) + lam + 7.0 * math.sqrt(n * p_loss * (1 - p_loss) + lam)) + 1
+        _assert_counts_follow(counts[start:], conv_law(p_loss, lam, n, q)[start:], shots)
+
+
+@pytest.mark.parametrize("p_loss", [1e-17, 1e-16, 1e-12])
+def test_a_small_loss_is_drawn_at_its_exact_rate(p_loss):
+    # odds read through 1 - (1 - p_loss) lose a loss of 1e-17 altogether and
+    # misread one of 1e-16 by 11 %, which 2**62 shots show at m = n - 1
+    shots = 2**62
+    counts = empirical_matrix(ShotConfig(params=DetectorParams(p_loss, 0.0), seed=0, shots=shots), 300)[300].counts
+    law = conv_law(p_loss, 0.0, 300, 0)
+    assert shots * law[299] > 10**4
+    _assert_counts_follow(counts[:300], law[:300], shots)
 
 
 def test_equal_seeds_reproduce_bitwise():
@@ -421,25 +464,29 @@ def test_each_law_handed_to_numpy_is_the_convolution(monkeypatch, lam):
     # a prior on the grid's incident numbers draws each of them, and the
     # stream answers each column's call with ranks, so counts[n, m] names
     # the probability handed to numpy for m
-    q = poisson_tail_quantile(lam, 1e-12)
-    prior = custom_prior([1.0 if n in _GRID_N else 0.0 for n in range(_GRID_N[-1] + 1)])
+    weights = dict(zip(_GRID_N, (3.0, 1.0, 4.0, 1.0, 5.0)))
+    prior = custom_prior([weights.get(n, 0.0) for n in range(_GRID_N[-1] + 1)])
     for p_loss in (0.0, 1e-9, 0.5, 0.99, 1.0):
         config = ShotConfig(params=DetectorParams(p_loss, lam), seed=0, shots=10**6)
         calls = []
         monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _Recording(joint_stream(seed), calls, True))
         counts = empirical_joint(config, prior)
         assert len(calls) == 1 + len(_GRID_N)
+        # the prior's draw: its positive weights over their sum, in increasing
+        # probability, ties in increasing n
+        np.testing.assert_array_equal(calls[0], prior.probs[[1, 300, 0, 19, 999]] / prior.probs.sum())
+        q = counts.shape[1] - len(prior.probs)  # the last dark count of the table
         for n, pvals in zip(_GRID_N, calls[1:]):
             ranks = counts[n, : n + q + 1]
             assert not counts[n, n + q + 1 :].any()
             m = np.argsort(ranks)[np.count_nonzero(ranks == 0) :]  # m in the order handed to numpy
             np.testing.assert_array_equal(ranks[m], np.arange(1, len(pvals) + 1))
-            # no zero, non-increasing, and ties in increasing m
+            # no zero, non-decreasing, and ties in increasing m
             assert np.all(pvals > 0.0)
-            assert np.all((pvals[1:] < pvals[:-1]) | ((pvals[1:] == pvals[:-1]) & (m[1:] > m[:-1])))
+            assert np.all((pvals[1:] > pvals[:-1]) | ((pvals[1:] == pvals[:-1]) & (m[1:] > m[:-1])))
             law = np.zeros(n + q + 1)
             law[m] = pvals
-            expected = cut_conv_law(p_loss, lam, n, q)
+            expected = conv_law(p_loss, lam, n, q)
             seen = expected > 1e-250
             np.testing.assert_allclose(law[seen], expected[seen], rtol=1e-12, atol=0, err_msg=f"{p_loss}, {n}")
         # each column of empirical_matrix hands numpy the same law
