@@ -8,26 +8,21 @@ how each raw count should be reinterpreted and with what confidence.
 import os
 import sys
 
-# countfix's only BLAS calls are two 1-d dot products, so the OpenBLAS thread
-# pool that numpy starts as it loads only burns CPU. OpenBLAS reads the
-# variable once, at load: once numpy is loaded, setting it would only reach
-# child processes. A user's own value wins.
+# countfix's only BLAS calls are 1-d dot products (OpenBLAS ddot): the two
+# averages in optimisation_map, and those each sampler law's np.convolve
+# makes. The thread pool that OpenBLAS starts as numpy loads slows every cold
+# start, and these calls do not need it. OpenBLAS reads the variable once, at
+# load: once numpy is loaded, setting it would only reach child processes. A
+# user's own value wins.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .detector import ConditionalMatrix, DetectorParams, build_matrix  # noqa: E402
 from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior  # noqa: E402
-from .montecarlo import (  # noqa: E402
-    EmpiricalColumn,
-    ShotConfig,
-    column_stream,
-    empirical_joint,
-    empirical_matrix,
-    joint_stream,
-)
+from .montecarlo import EmpiricalColumn, ShotConfig, empirical_joint, empirical_matrix  # noqa: E402
 from .priors import NumberPrior, custom_prior, pdc_prior, uniform_prior  # noqa: E402
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "ConditionalMatrix",
@@ -38,11 +33,9 @@ __all__ = [
     "PosteriorMatrix",
     "ShotConfig",
     "build_matrix",
-    "column_stream",
     "custom_prior",
     "empirical_joint",
     "empirical_matrix",
-    "joint_stream",
     "optimisation_map",
     "pdc_prior",
     "posterior",

@@ -29,7 +29,7 @@ from . import __version__
 from ._tables import _fmt, _write_table, _write_text
 from .detector import ConditionalMatrix, DetectorParams, _m_max, _tail_table, build_matrix
 from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
-from .montecarlo import EmpiricalColumn, ShotConfig, empirical_matrix
+from .montecarlo import EmpiricalColumn, ShotConfig, _dark_window, empirical_matrix
 from .priors import NumberPrior, _check_count, custom_prior, pdc_prior, uniform_prior
 
 __all__ = ["RunConfig", "UsageError", "parse_config", "run", "main"]
@@ -56,8 +56,9 @@ _FLAGS = {
 _RUN_ONLY = ("prior", "emit")
 
 # Largest array a run may allocate, in bytes: the P(m|n) matrix of
-# (n_max + 1) * (m_max + 1) float64 entries, or a uniform prior. The largest
-# configuration in use (n_max 300, lambda 5) needs 0.79 MB.
+# (n_max + 1) * (m_max + 1) float64 entries, the int64 histogram of a run
+# that simulates, or a uniform prior. The largest configuration in use
+# (n_max 300, lambda 5) needs 0.79 MB.
 MAX_ARRAY_BYTES = 2**25
 
 
@@ -111,6 +112,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     # that edge first refuses a huge lambda before the search and no run the exact check admits
     _check_size("--n-max, --lambda", rows * (rows + _tail_table(detector.lam)[0]) * 8)
     _check_size("--n-max, --lambda, --tail-eps", rows * (_m_max(detector, n_max) + 1) * 8)
+    if "simulate" in outputs:  # column n of the histogram holds n + the sampler's Poisson table
+        _check_size("--n-max, --lambda", rows * (n_max + _dark_window(detector.lam)) * 8)
     prior = None if values["prior"] is None else _parse_prior(values["prior"], n_max)
     return RunConfig(
         shot_config=shot_config,
@@ -294,8 +297,10 @@ def _compute(config: RunConfig) -> _Result:
 
 def _counts(columns: list[EmpiricalColumn]) -> np.ndarray:
     """Histogram columns zero-padded to a common depth: rows m, columns n."""
-    depth = max(len(c.counts) for c in columns)
-    return np.column_stack([np.pad(c.counts, (0, depth - len(c.counts))) for c in columns])
+    counts = np.zeros((max(len(c.counts) for c in columns), len(columns)), dtype=np.int64)
+    for c in columns:
+        counts[: len(c.counts), c.n] = c.counts
+    return counts
 
 
 # artifact -> (file stem, row name, columns, description, values). `columns`
@@ -309,10 +314,10 @@ _ARTIFACTS = {
            lambda c, r: c.prior.probs[:, np.newaxis]),
     "pnm": ("pnm", "n", "m", "P(n|m), {rows} x {cols}", lambda c, r: (r.post.entries, r.post.defined)),
     "optmap": ("optmap", "m", ["m_opt"], "optimisation map, {rows} signatures",
-               lambda c, r: np.where(r.report.defined, r.report.map, np.nan)[:, np.newaxis]),
+               lambda c, r: np.where(r.post.defined, r.report.map, np.nan)[:, np.newaxis]),
     # the fidelities are NaN exactly where an outcome is undefined, and P(m) is 0
     "fidelity": ("fidelity", "m", ["P(m)", "F_raw", "F_opt"], "fidelities, {rows} signatures",
-                 lambda c, r: np.column_stack([r.report.outcome_marginal, r.report.fidelity_raw,
+                 lambda c, r: np.column_stack([r.post.outcome_marginal, r.report.fidelity_raw,
                                                r.report.fidelity_opt])),
     "simulate": ("empirical_pmn", "m", "n",
                  "empirical counts, seed={config.shot_config.seed}, shots={config.shot_config.shots}",
@@ -354,7 +359,7 @@ def _summary_text(config: RunConfig, result: _Result) -> str:
         "shots": config.shot_config.shots,
         "avg_fidelity_raw": float(_fmt(report.avg_fidelity_raw)),
         "avg_fidelity_opt": float(_fmt(report.avg_fidelity_opt)),
-        "undefined_outcomes": np.flatnonzero(~report.defined).tolist(),
+        "undefined_outcomes": np.flatnonzero(~result.post.defined).tolist(),
         "tied_outcomes": np.flatnonzero(report.tie).tolist(),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -76,24 +76,25 @@ class ConditionalMatrix:
     adopted without a copy.
     """
 
-    n_max: int
-    m_max: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_max < 0 or self.m_max < 0:
-            raise ValueError("n_max and m_max must be >= 0")
         e = _frozen(self.entries, float)
-        if e.shape != (self.m_max + 1, self.n_max + 1):
-            raise ValueError(
-                f"entries shape {e.shape} does not match "
-                f"(m_max+1, n_max+1) = {(self.m_max + 1, self.n_max + 1)}"
-            )
+        if e.ndim != 2 or e.size == 0:
+            raise ValueError("entries must be a nonempty 2-d matrix")
         if not np.all(np.isfinite(e)):
             raise ValueError("entries must be finite")
         if e.min() < 0.0 or e.max() > 1.0:
             raise ValueError("entries must be probabilities in [0, 1]")
         object.__setattr__(self, "entries", e)
+
+    @property
+    def n_max(self) -> int:
+        return self.entries.shape[1] - 1
+
+    @property
+    def m_max(self) -> int:
+        return self.entries.shape[0] - 1
 
 
 def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
@@ -106,8 +107,7 @@ def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
     """
     n_max = _check_count(n_max, "n_max")
     m_max = _m_max(params, n_max)
-    entries = _response(params, n_max, m_max).view(_Fresh)  # adopted, not copied
-    return ConditionalMatrix(n_max=n_max, m_max=m_max, entries=entries)
+    return ConditionalMatrix(_response(params, n_max, m_max).view(_Fresh))  # adopted, not copied
 
 
 def _m_max(params: DetectorParams, n_max: int) -> int:

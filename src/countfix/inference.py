@@ -73,7 +73,8 @@ class OptimisationReport:
     """Per-signature optimisation map and measurement fidelities.
 
     Arrays are read-only copies of the caller's; optimisation_map's own are
-    adopted, and outcome_marginal and defined are the posterior's.
+    adopted. P(m) and the validity flags are read from the posterior; here
+    map[m] >= 0 marks a defined m.
 
     Attributes:
         map: map[m] = optimised signature for raw count m; -1 where m is
@@ -85,8 +86,6 @@ class OptimisationReport:
             signature; NaN where undefined.
         avg_fidelity_raw: sum of P(m) * fidelity_raw[m] over defined m.
         avg_fidelity_opt: sum of P(m) * fidelity_opt[m] over defined m.
-        outcome_marginal: P(m), the posterior's.
-        defined: validity flags, the posterior's.
         tie: tie[m] is True where another photon number came within
             TIE_RTOL of the column maximum and the map chose the smallest.
     """
@@ -96,12 +95,10 @@ class OptimisationReport:
     fidelity_opt: np.ndarray
     avg_fidelity_raw: float
     avg_fidelity_opt: float
-    outcome_marginal: np.ndarray
-    defined: np.ndarray
     tie: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("map", "fidelity_raw", "fidelity_opt", "outcome_marginal", "defined", "tie"):
+        for name in ("map", "fidelity_raw", "fidelity_opt", "tie"):
             object.__setattr__(self, name, _frozen(getattr(self, name), None))
 
     @property
@@ -152,8 +149,6 @@ def optimisation_map(post: PosteriorMatrix) -> OptimisationReport:
         fidelity_opt=f_opt.view(_Fresh),
         avg_fidelity_raw=float(weights @ f_raw[dfn]) if dfn.any() else 0.0,
         avg_fidelity_opt=float(weights @ f_opt[dfn]) if dfn.any() else 0.0,
-        outcome_marginal=post.outcome_marginal.view(_Fresh),
-        defined=dfn.view(_Fresh),
         tie=tie.view(_Fresh),
     )
 

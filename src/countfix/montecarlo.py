@@ -28,12 +28,12 @@ a number of zero weight is never drawn.
 
 Histograms are therefore bit-identical for a given (seed, params, shots)
 and numpy's multinomial stream, which NEP 19 does not freeze across numpy
-versions. This layout dates from version 0.6.0. 0.5.0 cut the Poisson
-table at its 1 - 1e-12 quantile, listed m in decreasing probability and
-the prior in increasing n; 0.3.0 and 0.4.0 drew the survivors first and
-then one row of dark counts per survivor number; earlier versions drew
-shot by shot. Their histograms differ. numpy counts in int64, so
-ShotConfig holds fewer than 2**63 shots.
+versions. This layout dates from version 0.6.0; 0.7.0 changed no draw.
+0.5.0 cut the Poisson table at its 1 - 1e-12 quantile, listed m in
+decreasing probability and the prior in increasing n; 0.3.0 and 0.4.0
+drew the survivors first and then one row of dark counts per survivor
+number; earlier versions drew shot by shot. Their histograms differ.
+numpy counts in int64, so ShotConfig holds fewer than 2**63 shots.
 
 The law of m is np.convolve of the binomial pmf of S with the Poisson pmf
 of D. Each pmf is built up to a constant factor from its mode outward by
@@ -72,14 +72,7 @@ import numpy as np
 from .detector import DetectorParams
 from .priors import NumberPrior, _check_count
 
-__all__ = [
-    "ShotConfig",
-    "EmpiricalColumn",
-    "column_stream",
-    "joint_stream",
-    "empirical_matrix",
-    "empirical_joint",
-]
+__all__ = ["ShotConfig", "EmpiricalColumn", "empirical_matrix", "empirical_joint"]
 
 _COLUMN_NAMESPACE = 0
 _JOINT_NAMESPACE = 1
@@ -135,20 +128,10 @@ class EmpiricalColumn:
         return self.counts / self.total
 
 
-def column_stream(seed: int, n: int) -> np.random.Generator:
-    """Substream feeding the conditional-column simulation for incident n."""
-    return _stream(seed, _COLUMN_NAMESPACE, n)
-
-
-def joint_stream(seed: int) -> np.random.Generator:
-    """Substream feeding the joint prior-then-detector simulation."""
-    return _stream(seed, _JOINT_NAMESPACE, 0)
-
-
 def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     """Simulate `shots` shots for each incident n in 0..n_max.
 
-    Column histograms estimate P(.|n). Column n reads column_stream(seed, n)
+    Column histograms estimate P(.|n). Column n reads its own substream
     alone.
     """
     n_max = _check_count(n_max, "n_max")
@@ -158,7 +141,7 @@ def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     for n in range(n_max + 1):
         counts = np.zeros(n + len(dark), dtype=np.int64)
         law = np.convolve(_binomial_pmf(config.params.p_loss, n, k), dark)
-        _draw(column_stream(config.seed, n), config.shots, law, counts)
+        _draw(_stream(config.seed, _COLUMN_NAMESPACE, n), config.shots, law, counts)
         columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
     return columns
 
@@ -174,7 +157,7 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
     n_top = len(prior.probs) - 1
     k = np.arange(1.0, n_top + 1)
     counts = np.zeros((n_top + 1, n_top + len(dark)), dtype=np.int64)
-    stream = joint_stream(config.seed)
+    stream = _stream(config.seed, _JOINT_NAMESPACE, 0)
     incident = np.zeros(n_top + 1, dtype=np.int64)
     _draw(stream, config.shots, prior.probs, incident)
     for n in np.flatnonzero(incident).tolist():
@@ -183,9 +166,9 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
     return counts
 
 
-def _stream(seed: int, namespace: int, stream: int) -> np.random.Generator:
-    counter = (namespace << 192) | (stream << 128)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+def _stream(seed: int, namespace: int, n: int) -> np.random.Generator:
+    """The substream of the counters in the module docstring."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=(namespace << 192) | (n << 128)))
 
 
 def _draw(stream: np.random.Generator, shots: int, weights: np.ndarray, out: np.ndarray) -> None:
@@ -222,15 +205,21 @@ def _from_mode(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cumprod(down)[::-1], [1.0], np.cumprod(up)])
 
 
+def _dark_window(lam: float) -> int:
+    """The number of dark counts d < lam + 12 sqrt(lam) + 40, the most the
+    sampler's Poisson table holds."""
+    return math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0)
+
+
 def _poisson_pmf(lam: float) -> np.ndarray:
     """Poisson(lam) pmf over d = 0..q, up to a constant factor, q the last
-    count below lam + 12 sqrt(lam) + 40 whose entry does not underflow.
+    count below _dark_window(lam) whose entry does not underflow.
 
     Built by _from_mode with pmf(d) / pmf(d - 1) = lam / d. The mass at and
     beyond lam + 12 sqrt(lam) + 40 is below 1e-32 of the whole; at lam = 0
     the table is [1.0].
     """
-    d = np.arange(1.0, math.ceil(lam + 12.0 * math.sqrt(lam) + 40.0))
+    d = np.arange(1.0, _dark_window(lam))
     mode = int(lam)
     pmf = _from_mode(lam / d[mode:], d[:mode][::-1] / lam)
     return pmf[: np.flatnonzero(pmf)[-1] + 1]

@@ -41,7 +41,7 @@ def report_map(p_loss, lam, prior):
 
 def as_list(report):
     return [
-        int(report.map[m]) if report.defined[m] else None
+        int(report.map[m]) if report.map[m] >= 0 else None
         for m in range(report.m_max + 1)
     ]
 
@@ -121,13 +121,13 @@ def test_criterion_4_monte_carlo_oracle():
 def test_criterion_5_golden_optimisation_maps():
     lossy = report_map(0.5, 0.0, uniform_prior(0, 9))
     assert as_list(lossy) == load_golden_map("lossy_uniform")
-    for m in np.flatnonzero(lossy.defined):
+    for m in np.flatnonzero(lossy.map >= 0):
         if m < 9:
             assert lossy.map[m] >= m, m
 
     darky = report_map(0.0, 5.0, uniform_prior(0, 9))
     assert as_list(darky) == load_golden_map("darkcounty_uniform")
-    for m in np.flatnonzero(darky.defined):
+    for m in np.flatnonzero(darky.map >= 0):
         assert darky.map[m] <= m, m
 
     swamped = report_map(0.0, 10.0, pdc_prior(0.7, n_max=19))
@@ -135,7 +135,7 @@ def test_criterion_5_golden_optimisation_maps():
     # guessing n=0 is optimal until the signature is so far above the
     # prior's reach that even a rate-10 dark count burst cannot explain
     # it alone; the geometric prior odds chi^2(m-n)/... flip at m=21
-    for m in np.flatnonzero(swamped.defined):
+    for m in np.flatnonzero(swamped.map >= 0):
         if m <= 20:
             assert swamped.map[m] == 0, m
         else:
@@ -156,7 +156,7 @@ def test_criterion_6_fidelity_improvement():
     ]
     for p_loss, lam, prior in configs:
         report = report_map(p_loss, lam, prior)
-        for m in np.flatnonzero(report.defined):
+        for m in np.flatnonzero(report.map >= 0):
             assert report.fidelity_opt[m] >= report.fidelity_raw[m], (p_loss, lam, m)
             if report.map[m] != m:
                 assert report.fidelity_opt[m] > report.fidelity_raw[m], (p_loss, lam, m)

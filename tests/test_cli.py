@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import render_table
 
-from countfix import __version__, cli, detector
+from countfix import __version__, cli, detector, montecarlo
 from countfix import _tables as table_format
 from countfix.detector import DetectorParams, _poisson_tail_quantile, build_matrix
 from countfix.montecarlo import ShotConfig, empirical_matrix
@@ -209,9 +209,9 @@ def test_json_format(tmp_path):
     ("simulate", ["--p-loss", "0.5", "--lambda", "1", "--shots", "1000", "--n-max", "5"]),
 ])
 def test_json_output_matches_fixture_bytes(command, args, tmp_path):
-    # the tables were written by the cell-by-cell renderer of countfix 0.2.0, and
+    # the tables were written by the cell-by-cell renderer of countfix 0.2.0,
     # the simulated counts, one draw per column in increasing probability over
-    # an uncut Poisson table, and summary.json by 0.6.0
+    # an uncut Poisson table, by 0.6.0, and summary.json by 0.7.0
     res = run_cli(command, *args, "--format", "json", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     expected = FIXTURES / command
@@ -552,6 +552,9 @@ def test_concurrent_simulations_are_byte_identical(tmp_path):
         (["run", "--prior", "uniform:0:30"], "--prior, --n-max"),
         (["run", "--n-max", "1400", "--lambda", "1400", "--prior", "pdc:0.5"],
          "--n-max, --lambda, --tail-eps"),
+        # P(m|n) fits at 33,065,032 bytes, the 1001 x 4919 int64 histogram does not
+        (["simulate", "--n-max", "1000", "--lambda", "3200", "--tail-eps", "0.9", "--shots", "1000"],
+         "--n-max, --lambda:"),
     ],
 )
 def test_usage_errors_exit_2(args, fragment, tmp_path):
@@ -639,6 +642,27 @@ def test_admitted_runs_fit_their_matrix_in_the_size_limit(n_max, lam, tail_eps):
         return
     m_max = detector._m_max(DetectorParams(p_loss=0.0, lam=lam, tail_epsilon=tail_eps), n_max)
     assert (m_max + 1) * (n_max + 1) * 8 <= cli.MAX_ARRAY_BYTES
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_max=st.integers(0, 2100),
+    lam=st.floats(0.0, 3000.0) | st.floats(0.0, 5e6),
+    tail_eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    command=st.sampled_from([["simulate"], ["run", "--prior", "pdc:0.5", "--emit", "pmn,simulate"]]),
+)
+@example(1000, 3200.0, 0.9, ["simulate"])  # the tail quantile, 3128, is shallower than the sampler's table
+@example(999, 2500.0, 1e-10, ["simulate"])  # the widest case CI runs, 33,112,000 bytes
+def test_admitted_simulations_fit_their_histogram_in_the_size_limit(n_max, lam, tail_eps, command):
+    argv = [*command, "--n-max", str(n_max), "--lambda", repr(lam), "--tail-eps", repr(tail_eps)]
+    try:
+        cli.parse_config(argv)
+    except cli.UsageError:
+        assert (n_max, lam, tail_eps) != (999, 2500.0, 1e-10), "CI's widest case is refused"
+        return
+    # cli._counts stacks columns 0..n_max, the last n_max + len(table) deep, as int64
+    depth = n_max + len(montecarlo._poisson_pmf(lam))
+    assert (n_max + 1) * depth * 8 <= cli.MAX_ARRAY_BYTES
 
 
 def test_huge_lambda_is_refused_before_the_tail_search(monkeypatch):

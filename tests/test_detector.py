@@ -315,21 +315,21 @@ def test_matrix_build_peaks_near_its_result(lam):
 
 def test_matrix_copies_every_callers_entries():
     writable = np.eye(3)
-    mat = ConditionalMatrix(n_max=2, m_max=2, entries=writable)
+    mat = ConditionalMatrix(entries=writable)
     assert writable.flags.writeable
     assert not np.shares_memory(mat.entries, writable)
     frozen_view = np.eye(4)[:3, :3]
     frozen_view.setflags(write=False)
-    assert not np.shares_memory(ConditionalMatrix(n_max=2, m_max=2, entries=frozen_view).entries, frozen_view)
+    assert not np.shares_memory(ConditionalMatrix(entries=frozen_view).entries, frozen_view)
     frozen = np.eye(3)
     frozen.setflags(write=False)
-    assert not np.shares_memory(ConditionalMatrix(n_max=2, m_max=2, entries=frozen).entries, frozen)
+    assert not np.shares_memory(ConditionalMatrix(entries=frozen).entries, frozen)
 
 
 def test_matrix_keeps_its_entries_when_the_caller_thaws_its_array():
     a = np.eye(3)
     a.setflags(write=False)
-    mat = ConditionalMatrix(n_max=2, m_max=2, entries=a)
+    mat = ConditionalMatrix(entries=a)
     a.setflags(write=True)
     a[0, 0] = 7.0
     assert mat.entries[0, 0] == 1.0
@@ -338,15 +338,18 @@ def test_matrix_keeps_its_entries_when_the_caller_thaws_its_array():
 
 def test_matrix_shape_validation():
     good = np.eye(3)
-    ConditionalMatrix(n_max=2, m_max=2, entries=good)
+    ConditionalMatrix(entries=good)
+    tall = ConditionalMatrix(entries=np.full((4, 2), 0.25))  # the sizes are read from the shape
+    assert (tall.n_max, tall.m_max) == (1, 3)
+    for bad_shape in (np.ones(3), np.ones((1, 1, 1)), np.empty((0, 3)), np.empty((3, 0))):
+        with pytest.raises(ValueError, match="nonempty 2-d"):
+            ConditionalMatrix(entries=bad_shape)
     with pytest.raises(ValueError):
-        ConditionalMatrix(n_max=2, m_max=3, entries=good)
-    with pytest.raises(ValueError):
-        ConditionalMatrix(n_max=2, m_max=2, entries=good + 0.9)
+        ConditionalMatrix(entries=good + 0.9)
     bad = good.copy()
     bad[0, 0] = math.nan
     with pytest.raises(ValueError):
-        ConditionalMatrix(n_max=2, m_max=2, entries=bad)
+        ConditionalMatrix(entries=bad)
 
 
 def test_params_validation():

@@ -118,7 +118,7 @@ def test_undefined_outcomes_are_flagged_not_fatal():
 
 def test_exact_tie_resolves_to_smallest_n():
     entries = np.full((2, 2), 0.5)
-    mat = ConditionalMatrix(n_max=1, m_max=1, entries=entries)
+    mat = ConditionalMatrix(entries=entries)
     report = optimisation_map(posterior(mat, uniform_prior(0, 1)))
     np.testing.assert_array_equal(report.map, [0, 0])
     assert report.tie.all()
@@ -127,8 +127,9 @@ def test_exact_tie_resolves_to_smallest_n():
 
 def test_map_values_stay_inside_prior_support():
     mat = build_matrix(NOISY, 9)
-    report = optimisation_map(posterior(mat, pdc_prior(0.7, n_max=9)))
-    defined = report.defined
+    post = posterior(mat, pdc_prior(0.7, n_max=9))
+    report = optimisation_map(post)
+    defined = post.defined
     assert np.all(report.map[defined] >= 0)
     assert np.all(report.map[defined] <= 9)
 
@@ -137,7 +138,7 @@ def test_optimised_fidelity_is_posterior_at_mapped_signature():
     mat = build_matrix(NOISY, 9)
     post = posterior(mat, pdc_prior(0.7, n_max=9))
     report = optimisation_map(post)
-    for m in np.flatnonzero(report.defined):
+    for m in np.flatnonzero(post.defined):
         chosen = post.entries[report.map[m], m]
         if report.tie[m]:
             assert report.fidelity_opt[m] == pytest.approx(chosen, rel=2e-12)
@@ -150,8 +151,9 @@ def test_fidelity_improvement_pointwise():
     for params in (LOSSY, NOISY, DetectorParams(p_loss=0.0, lam=5.0)):
         mat = build_matrix(params, 12)
         for prior in (pdc_prior(0.7, n_max=12), uniform_prior(0, 9)):
-            report = optimisation_map(posterior(mat, prior))
-            defined = np.flatnonzero(report.defined)
+            post = posterior(mat, prior)
+            report = optimisation_map(post)
+            defined = np.flatnonzero(post.defined)
             assert np.all(
                 report.fidelity_opt[defined] >= report.fidelity_raw[defined]
             )
@@ -162,7 +164,7 @@ def test_raw_fidelity_zero_beyond_prior_support():
     mat = build_matrix(DetectorParams(p_loss=0.0, lam=5.0), 4)
     post = posterior(mat, uniform_prior(0, 4))
     report = optimisation_map(post)
-    beyond = np.flatnonzero(report.defined & (np.arange(mat.m_max + 1) > 4))
+    beyond = np.flatnonzero(post.defined & (np.arange(mat.m_max + 1) > 4))
     assert beyond.size > 0
     assert np.all(report.fidelity_raw[beyond] == 0.0)
 
@@ -171,7 +173,7 @@ def test_average_fidelities_are_marginal_weighted():
     mat = build_matrix(NOISY, 9)
     post = posterior(mat, uniform_prior(0, 9))
     report = optimisation_map(post)
-    defined = np.flatnonzero(report.defined)
+    defined = np.flatnonzero(post.defined)
     raw = math.fsum(
         (post.outcome_marginal[m] * report.fidelity_raw[m] for m in defined)
     )
@@ -209,7 +211,7 @@ def test_argmax_agrees_with_oracle_tie_rule():
     mat = build_matrix(DetectorParams(p_loss=0.5, lam=0.0), 9)
     post = posterior(mat, uniform_prior(0, 9))
     report = optimisation_map(post)
-    for m in np.flatnonzero(report.defined):
+    for m in np.flatnonzero(post.defined):
         idx, tied = argmax_smallest(post.entries[:, m])
         assert report.map[m] == idx
         assert report.tie[m] == tied
@@ -225,11 +227,10 @@ def test_posterior_arrays_immutable():
 # result type -> (its array fields, each naming the caller's array it is given; other fields)
 _RESULTS = {
     NumberPrior: ({"probs": "probs"}, {"label": "given"}),
-    ConditionalMatrix: ({"entries": "square"}, {"n_max": 2, "m_max": 2}),
+    ConditionalMatrix: ({"entries": "square"}, {}),
     PosteriorMatrix: ({"entries": "square", "outcome_marginal": "probs", "defined": "flags"}, {}),
     OptimisationReport: (
-        {"map": "map", "fidelity_raw": "probs", "fidelity_opt": "probs",
-         "outcome_marginal": "probs", "defined": "flags", "tie": "flags"},
+        {"map": "map", "fidelity_raw": "probs", "fidelity_opt": "probs", "tie": "flags"},
         {"avg_fidelity_raw": 0.5, "avg_fidelity_opt": 0.5},
     ),
 }
@@ -282,7 +283,7 @@ def test_no_result_array_holds_a_negative_zero(p_loss, lam, weights):
     w = np.array(weights)
     prior = NumberPrior(probs=w / w.sum(), label="given")
     built = build_matrix(DetectorParams(p_loss=p_loss, lam=lam), prior.n_max)
-    given_matrix = ConditionalMatrix(built.n_max, built.m_max, _with_negative_zeros(built.entries))
+    given_matrix = ConditionalMatrix(_with_negative_zeros(built.entries))
     results = [prior, built, given_matrix]
     for matrix in (built, given_matrix):
         post = posterior(matrix, prior)

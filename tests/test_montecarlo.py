@@ -14,18 +14,20 @@ from scipy import stats
 from countfix import montecarlo
 from countfix.detector import DetectorParams, build_matrix
 from countfix.inference import posterior
-from countfix.montecarlo import (
-    EmpiricalColumn,
-    ShotConfig,
-    column_stream,
-    empirical_joint,
-    empirical_matrix,
-    joint_stream,
-)
+from countfix.montecarlo import EmpiricalColumn, ShotConfig, empirical_joint, empirical_matrix
 from countfix.priors import custom_prior, pdc_prior, uniform_prior
 from oracles import conv_column, conv_law, poisson_tail_exact, tv_distance
 
 NOISY = DetectorParams(p_loss=0.5, lam=1.0)
+
+# The substreams of the countfix.montecarlo docstring: the seed is the Philox
+# key, the column stream of incident number n starts at counter
+# (0 << 192) | (n << 128), and the joint stream at (1 << 192).
+_COLUMNS, _JOINT = 0, 1
+
+
+def _documented_stream(seed, namespace, n=0):
+    return np.random.Generator(np.random.Philox(key=seed, counter=(namespace << 192) | (n << 128)))
 
 
 def test_ideal_channel_is_noiseless():
@@ -81,14 +83,14 @@ def _add_shots(stream, shots, n, params, out):
 
 def _column_by_layout(seed, n, shots, params, size):
     counts = np.zeros(size, dtype=np.int64)
-    _add_shots(column_stream(seed, n), shots, n, params, counts)
+    _add_shots(_documented_stream(seed, _COLUMNS, n), shots, n, params, counts)
     return counts
 
 
 def _joint_by_layout(seed, shots, prior, params, shape):
-    """counts[n, m] from joint_stream: the incident numbers, then the shots
-    of each drawn n in increasing order."""
-    stream = joint_stream(seed)
+    """counts[n, m] from the joint stream: the incident numbers, then the
+    shots of each drawn n in increasing order."""
+    stream = _documented_stream(seed, _JOINT)
     incident = np.zeros(len(prior.probs), dtype=np.int64)
     _draw(stream, shots, prior.probs, incident)
     counts = np.zeros(shape, dtype=np.int64)
@@ -354,17 +356,17 @@ def test_column_errors_reach_the_caller(monkeypatch, failing):
     error = ValueError(f"no stream for n = {failing}")
     opened = []
 
-    def stream(seed, n):
-        opened.append(n)
+    def stream(seed, namespace, n):
+        opened.append((namespace, n))
         if n == failing:
             raise error
-        return column_stream(seed, n)
+        return _documented_stream(seed, namespace, n)
 
-    monkeypatch.setattr(montecarlo, "column_stream", stream)
+    monkeypatch.setattr(montecarlo, "_stream", stream)
     with pytest.raises(ValueError) as caught:
         empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
     assert caught.value is error
-    assert opened == list(range(failing + 1))
+    assert opened == [(_COLUMNS, n) for n in range(failing + 1)]
 
 
 def test_the_first_failure_is_the_one_raised(monkeypatch):
@@ -373,17 +375,17 @@ def test_the_first_failure_is_the_one_raised(monkeypatch):
     errors = {3: ValueError("column 3 failed"), 6: ValueError("column 6 failed")}
     opened = []
 
-    def stream(seed, n):
-        opened.append(n)
+    def stream(seed, namespace, n):
+        opened.append((namespace, n))
         if n in errors:
-            return _FailingDraw(column_stream(seed, n), 1, errors[n])
-        return column_stream(seed, n)
+            return _FailingDraw(_documented_stream(seed, namespace, n), 1, errors[n])
+        return _documented_stream(seed, namespace, n)
 
-    monkeypatch.setattr(montecarlo, "column_stream", stream)
+    monkeypatch.setattr(montecarlo, "_stream", stream)
     with pytest.raises(ValueError) as caught:
         empirical_matrix(ShotConfig(params=NOISY, seed=0, shots=100), 9)
     assert caught.value is errors[3]
-    assert opened == [0, 1, 2, 3]
+    assert opened == [(_COLUMNS, 0), (_COLUMNS, 1), (_COLUMNS, 2), (_COLUMNS, 3)]
 
 
 class _Stop(BaseException):
@@ -394,8 +396,9 @@ def test_helper_base_exceptions_reach_the_caller(monkeypatch):
     # an exception that is not an Exception, like KeyboardInterrupt, raised
     # in a draw still reaches the caller unchanged, from either sampler
     error = _Stop()
-    monkeypatch.setattr(montecarlo, "column_stream", lambda seed, n: _FailingDraw(column_stream(seed, n), 1, error))
-    monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _FailingDraw(joint_stream(seed), 3, error))
+    failing = {_COLUMNS: 1, _JOINT: 3}  # the multinomial call that raises, per stream
+    monkeypatch.setattr(montecarlo, "_stream", lambda seed, namespace, n: _FailingDraw(
+        _documented_stream(seed, namespace, n), failing[namespace], error))
     config = ShotConfig(params=NOISY, seed=0, shots=100)
     with pytest.raises(_Stop) as caught:
         empirical_matrix(config, 9)
@@ -414,11 +417,13 @@ def test_joint_helper_thread_errors_reach_the_caller(monkeypatch):
     calls = 1 + np.count_nonzero(empirical_joint(config, prior).sum(axis=1))
     for call in range(1, calls + 1):
         error = ValueError(f"draw {call} failed")
-        monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _FailingDraw(joint_stream(seed), call, error))
+        monkeypatch.setattr(montecarlo, "_stream", lambda seed, namespace, n: _FailingDraw(
+            _documented_stream(seed, namespace, n), call, error))
         with pytest.raises(ValueError) as caught:
             empirical_joint(config, prior)
         assert caught.value is error
-    monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _FailingDraw(joint_stream(seed), calls + 1, error))
+    monkeypatch.setattr(montecarlo, "_stream", lambda seed, namespace, n: _FailingDraw(
+        _documented_stream(seed, namespace, n), calls + 1, error))
     assert empirical_joint(config, prior).sum() == 100  # no draw past the last one
 
 
@@ -438,16 +443,25 @@ class _Recording:
         return self._stream.multinomial(shots, pvals)
 
 
+def _recorded_streams(per_column, joint_calls, joint_ranks=False):
+    """A stand-in for montecarlo._stream whose streams record their calls:
+    column n's in per_column[n], the joint stream's in joint_calls, which
+    answers with ranks when joint_ranks is set."""
+    def stream(seed, namespace, n):
+        if namespace == _COLUMNS:
+            return _Recording(_documented_stream(seed, namespace, n), per_column.setdefault(n, []))
+        return _Recording(_documented_stream(seed, namespace, n), joint_calls, joint_ranks)
+
+    return stream
+
+
 def test_one_multinomial_per_column_and_per_drawn_number(monkeypatch):
     # a column is one draw over its law of m, and the joint stream draws the
     # incident numbers and then each drawn number's column
     config = ShotConfig(params=NOISY, seed=0, shots=10**4)
     prior = pdc_prior(0.7, n_max=9)
-    per_column = {}
-    monkeypatch.setattr(montecarlo, "column_stream",
-                        lambda seed, n: _Recording(column_stream(seed, n), per_column.setdefault(n, [])))
-    joint_calls = []
-    monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _Recording(joint_stream(seed), joint_calls))
+    per_column, joint_calls = {}, []
+    monkeypatch.setattr(montecarlo, "_stream", _recorded_streams(per_column, joint_calls))
     for n_max in (0, 1, 9):
         per_column.clear()
         empirical_matrix(config, n_max)
@@ -468,8 +482,8 @@ def test_each_law_handed_to_numpy_is_the_convolution(monkeypatch, lam):
     prior = custom_prior([weights.get(n, 0.0) for n in range(_GRID_N[-1] + 1)])
     for p_loss in (0.0, 1e-9, 0.5, 0.99, 1.0):
         config = ShotConfig(params=DetectorParams(p_loss, lam), seed=0, shots=10**6)
-        calls = []
-        monkeypatch.setattr(montecarlo, "joint_stream", lambda seed: _Recording(joint_stream(seed), calls, True))
+        calls, per_column = [], {}
+        monkeypatch.setattr(montecarlo, "_stream", _recorded_streams(per_column, calls, joint_ranks=True))
         counts = empirical_joint(config, prior)
         assert len(calls) == 1 + len(_GRID_N)
         # the prior's draw: its positive weights over their sum, in increasing
@@ -490,9 +504,6 @@ def test_each_law_handed_to_numpy_is_the_convolution(monkeypatch, lam):
             seen = expected > 1e-250
             np.testing.assert_allclose(law[seen], expected[seen], rtol=1e-12, atol=0, err_msg=f"{p_loss}, {n}")
         # each column of empirical_matrix hands numpy the same law
-        per_column = {}
-        monkeypatch.setattr(montecarlo, "column_stream",
-                            lambda seed, n: _Recording(column_stream(seed, n), per_column.setdefault(n, [])))
         empirical_matrix(config, 19)
         for n, pvals in zip(_GRID_N[:3], calls[1:]):
             np.testing.assert_array_equal(per_column[n][0], pvals)
@@ -609,8 +620,10 @@ def test_joint_builds_survivor_rows_only_for_drawn_numbers(monkeypatch, prior, r
 
 
 def test_column_and_joint_streams_are_disjoint():
-    assert column_stream(5, 0).random() != joint_stream(5).random()
-    assert column_stream(5, 0).random() != column_stream(5, 1).random()
+    # each documented substream has 2**128 counters to itself: column n's start
+    # at n << 128, and the joint stream's at 1 << 192, past every n below 2**64
+    assert _documented_stream(5, _COLUMNS, 0).random() != _documented_stream(5, _JOINT).random()
+    assert _documented_stream(5, _COLUMNS, 0).random() != _documented_stream(5, _COLUMNS, 1).random()
 
 
 def test_empirical_columns_approach_analytic_columns():
