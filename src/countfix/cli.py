@@ -108,10 +108,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                            shots=values["shots"])
     n_max = _checked("--n-max", _check_count, values["n_max"], "n_max")
     rows = n_max + 1
-    # m_max is never below n_max plus the tail search table's lower edge, so checking
-    # that edge first refuses a huge lambda before the search and no run the exact check admits
-    _check_size("--n-max, --lambda", rows * (rows + _tail_table(detector.lam)[0]) * 8)
-    _check_size("--n-max, --lambda, --tail-eps", rows * (_m_max(detector, n_max) + 1) * 8)
+    if values["prior"] is not None:  # only a run with a prior builds P(m|n)
+        # m_max is never below n_max plus the tail search table's lower edge, so checking
+        # that edge first refuses a huge lambda before the search and no run the exact check admits
+        _check_size("--n-max, --lambda", rows * (rows + _tail_table(detector.lam)[0]) * 8)
+        _check_size("--n-max, --lambda, --tail-eps", rows * (_m_max(detector, n_max) + 1) * 8)
     if "simulate" in outputs:  # column n of the histogram holds n + the sampler's Poisson table
         _check_size("--n-max, --lambda", rows * (n_max + _dark_window(detector.lam)) * 8)
     prior = None if values["prior"] is None else _parse_prior(values["prior"], n_max)

@@ -98,7 +98,9 @@ def custom_prior(weights, label: str = "custom") -> NumberPrior:
     total = w.sum()
     if total <= 0.0:
         raise ValueError("at least one weight must be positive")
-    return NumberPrior(probs=w / total, label=label)
+    w /= total
+    w += 0.0  # -0.0 reads as 0.0
+    return NumberPrior(probs=w.view(_Fresh), label=label)
 
 
 def _check_count(value, name: str, least: int = 0) -> int:

@@ -3,13 +3,15 @@
 Nothing in this module imports countfix. The conditional probability of
 measuring m counts given n incident photons is computed here by exhaustive
 enumeration over (photons lost, dark counts) with plain float arithmetic,
-and alternatively by convolving binomial and Poisson pmfs, from scipy or
-from mpmath. Both paths are deliberately different from the library's
-photon-by-photon recurrence.
-The dark-count truncation depth is found by a search on scipy's regularized
-incomplete gamma function rather than on a table of pmf values. The table
-renderer formats, and for JSON parses, one cell at a time. The Poisson pmf's
-reference values come from mpmath at 50 significant digits.
+and alternatively by convolving binomial and Poisson pmfs from mpmath. Both
+paths are deliberately different from the library's photon-by-photon
+recurrence.
+Every exact reference comes from mpmath at 50 significant digits: the
+Poisson and binomial pmfs, the Poisson tail (a regularized incomplete gamma
+function) and the binomial tails (a regularized incomplete beta function). The
+dark-count truncation depth is found by bisection on the exact tail rather
+than on a table of pmf values. The table renderer formats, and for JSON
+parses, one cell at a time.
 """
 
 import decimal
@@ -19,7 +21,6 @@ import math
 
 import mpmath
 import numpy as np
-from scipy import special, stats
 
 # A column argmax counts as tied when a competitor is within this relative
 # distance of the maximum; ties resolve toward the smaller photon number.
@@ -41,10 +42,8 @@ def enum_conditional(p_loss: float, lam: float, m: int, n: int) -> float:
 
 
 def conv_column(p_loss: float, lam: float, n: int, m_max: int) -> np.ndarray:
-    """P(.|n) on 0..m_max as Binomial(n, 1-p_loss) convolved with Poisson(lam)."""
-    surv = stats.binom.pmf(np.arange(n + 1), n, 1.0 - p_loss)
-    dark = stats.poisson.pmf(np.arange(m_max + 1), lam)
-    return np.convolve(surv, dark)[: m_max + 1]
+    """P(.|n) on 0..m_max: conv_law's Binomial(n, 1-p_loss) convolved with Poisson(lam), cut at m_max."""
+    return conv_law(p_loss, lam, n, m_max)[: m_max + 1]
 
 
 def conv_law(p_loss: float, lam: float, n: int, q: int) -> np.ndarray:
@@ -72,21 +71,20 @@ def _poisson_pmfs_exact(lam: float, q: int) -> np.ndarray:
 
 
 def poisson_tail_quantile(lam: float, epsilon: float) -> int:
-    """Smallest q with P(D > q) <= epsilon for D ~ Poisson(lam)."""
-    if lam == 0.0:
-        return 0
-    q = max(0, int(lam) - 1)
-    while _poisson_tail(lam, q) > epsilon:
-        q += 1
-    while q > 0 and _poisson_tail(lam, q - 1) <= epsilon:
-        q -= 1
-    return q
-
-
-def _poisson_tail(lam: float, q: int) -> float:
-    # P(D > q) equals the lower regularized incomplete gamma P(q+1, lam),
-    # which stays accurate far below float cancellation limits.
-    return float(special.gammainc(q + 1, lam))
+    """Smallest q >= 0 with P(D > q) <= epsilon for D ~ Poisson(lam), by
+    bisection on the exact tail, which falls as q grows."""
+    # P(D > -1) = 1 exceeds epsilon; the upper end is doubled until its tail
+    # is at most epsilon, which 40 standard deviations past lam already are
+    above, within = -1, math.ceil(lam + 40.0 * math.sqrt(lam) + 200.0)
+    while poisson_tail_exact(lam, within) > epsilon:
+        above, within = within, 2 * within
+    while within - above > 1:
+        mid = (above + within) // 2
+        if poisson_tail_exact(lam, mid) > epsilon:
+            above = mid
+        else:
+            within = mid
+    return within
 
 
 def poisson_pmf_exact(lam: float, d: int) -> mpmath.mpf:
@@ -103,6 +101,17 @@ def poisson_tail_exact(lam: float, q: int) -> mpmath.mpf:
     regularized incomplete gamma P(q + 1, lam)."""
     with mpmath.workdps(50):
         return mpmath.gammainc(q + 1, 0, mpmath.mpf(lam), regularized=True)
+
+
+def binomial_tails_exact(k: int, trials: int, p: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(P(X >= k), P(X <= k)) for X ~ Binomial(trials, p) to 50 significant
+    digits, p read as its exact double: regularized incomplete beta functions,
+    P(X >= k) = I_p(k, trials - k + 1) and P(X <= k) = I_(1-p)(trials - k, k + 1)."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(p)
+        at_least = mpmath.betainc(k, trials - k + 1, 0, x, regularized=True) if k > 0 else mpmath.mpf(1)
+        at_most = mpmath.betainc(trials - k, k + 1, 0, 1 - x, regularized=True) if k < trials else mpmath.mpf(1)
+    return at_least, at_most
 
 
 def poisson_text_errors(lam: float, counts, values) -> tuple[int, float]:

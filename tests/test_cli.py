@@ -674,6 +674,23 @@ def test_huge_lambda_is_refused_before_the_tail_search(monkeypatch):
         cli.parse_config(["run", "--lambda", "1e300", "--prior", "pdc:0.5"])
 
 
+def test_a_simulation_is_not_refused_for_a_matrix_it_never_builds():
+    # P(m|n) at --tail-eps 1e-300 would take 40 x 111,982 float64, 35,834,240 bytes,
+    # but simulate builds none; its 40 x 103,874 int64 histogram takes 33,239,680
+    config = cli.parse_config(["simulate", "--n-max", "39", "--lambda", "1e5", "--tail-eps", "1e-300",
+                               "--shots", "10"])
+    assert config.n_max == 39 and config.prior is None
+
+
+def test_a_simulation_does_no_tail_search(monkeypatch):
+    def search(lam, epsilon):
+        raise AssertionError(f"tail quantile searched for lambda {lam}")
+
+    monkeypatch.setattr(detector, "_poisson_tail_quantile", search)
+    config = cli.parse_config(["simulate", "--lambda", "2500"])
+    assert config.outputs == ("simulate",)
+
+
 def test_lambda_above_the_tail_quantile_does_not_refuse_a_run_that_fits():
     # --tail-eps 0.9 puts q below lambda: P(m|n) is 1001 x 4129, 33,065,032 bytes
     assert _poisson_tail_quantile(3200.0, 0.9) == 3128

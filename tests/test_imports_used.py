@@ -1,6 +1,8 @@
-"""Every imported name is used: a deletion leaves no stale import behind.
+"""Import scans. Every imported name is used, so a deletion leaves no stale
+import behind; and no test or script imports scipy, so mpmath stays the one
+exact reference the tests compare against.
 
-No linter runs on this tree, so this scan stands in for one check of it.
+No linter runs on this tree, so these scans stand in for its import checks.
 """
 
 import ast
@@ -33,3 +35,26 @@ def test_no_module_imports_a_name_it_does_not_use():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     ]
     assert unused == []
+
+
+def _imported_modules(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, top-level package) of each module an import statement loads."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [(node.lineno, a.name.partition(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append((node.lineno, node.module.partition(".")[0]))
+    return modules
+
+
+def test_no_test_or_script_imports_scipy():
+    checked = [path for path in SOURCES if path.parts[len(ROOT.parts)] in ("tests", "scripts")]
+    assert checked, "no test or script files found"
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in checked
+        for line, module in _imported_modules(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if module == "scipy"
+    ]
+    assert found == []

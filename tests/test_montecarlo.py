@@ -7,16 +7,16 @@ import threading
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
 
 from countfix import montecarlo
 from countfix.detector import DetectorParams, build_matrix
 from countfix.inference import posterior
 from countfix.montecarlo import EmpiricalColumn, ShotConfig, empirical_joint, empirical_matrix
 from countfix.priors import custom_prior, pdc_prior, uniform_prior
-from oracles import conv_column, conv_law, poisson_tail_exact, tv_distance
+from oracles import binomial_tails_exact, conv_column, conv_law, poisson_tail_exact, tv_distance
 
 NOISY = DetectorParams(p_loss=0.5, lam=1.0)
 
@@ -540,7 +540,8 @@ def test_joint_threads_keep_the_shots_in_flight():
 
 
 # the two-sided false-alarm rate of a 5 standard error bound, about 5.7e-7
-_FALSE_ALARM = 2.0 * stats.norm.sf(5.0)
+with mpmath.workdps(50):
+    _FALSE_ALARM = float(mpmath.erfc(5 / mpmath.sqrt(2)))
 
 
 def _assert_binomial_cells(samples, probs, shots):
@@ -568,7 +569,7 @@ def _assert_binomial_cells(samples, probs, shots):
         (5.0 * np.sqrt((fourth - var**2) / seeds) + 1e-12)[common],
     )
     total, p = samples.sum(axis=0)[rare], probs[rare]
-    tails = np.minimum(stats.binom.sf(total - 1, seeds * shots, p), stats.binom.cdf(total, seeds * shots, p))
+    tails = [float(min(binomial_tails_exact(int(k), seeds * shots, float(q)))) for k, q in zip(total, p)]
     np.testing.assert_array_less(_FALSE_ALARM / 2.0, tails)
 
 

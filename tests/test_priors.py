@@ -1,6 +1,7 @@
 """Photon-number priors: geometric shape, exact uniform weights, validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ def test_custom_normalizes_weights():
     prior = custom_prior([2.0, 0.0, 6.0])
     np.testing.assert_allclose(prior.probs, [0.25, 0.0, 0.75], rtol=1e-15)
     assert prior.label == "custom"
+
+
+def test_custom_prior_holds_one_copy_of_its_weights():
+    weights = np.ones(2_000_000)
+    tracemalloc.start()
+    try:
+        prior = custom_prior(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * prior.probs.nbytes
 
 
 def test_custom_validation():
