@@ -8,12 +8,11 @@ how each raw count should be reinterpreted and with what confidence.
 import os
 import sys
 
-# countfix's only BLAS calls are 1-d dot products (OpenBLAS ddot): the two
-# averages in optimisation_map, and those each sampler law's np.convolve
-# makes. The thread pool that OpenBLAS starts as numpy loads slows every cold
-# start, and these calls do not need it. OpenBLAS reads the variable once, at
-# load: once numpy is loaded, setting it would only reach child processes. A
-# user's own value wins.
+# countfix's only BLAS calls are the 1-d dot products (OpenBLAS ddot) that
+# each sampler law's np.convolve makes. The thread pool that OpenBLAS starts
+# as numpy loads slows every cold start, and these calls do not need it.
+# OpenBLAS reads the variable once, at load: once numpy is loaded, setting it
+# would only reach child processes. A user's own value wins.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -10,9 +10,10 @@ Flags override values from an optional --config JSON file. The tables are
 written by `countfix._tables`, which owns their byte-stable text format.
 
 This module only converts text to the types the library takes; the library
-constructors check the ranges. A run checks every value and computes before
-it creates --out, so a refused run creates nothing. Exit codes: 0 success,
-2 usage or validation error (the message names the flag), 3 I/O error.
+constructors check the ranges. parse_config refuses every bad value before
+any work, so a refused run creates nothing, and `run` fails only on I/O.
+Exit codes: 0 success, 2 usage or validation error (the message names the
+flag), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._tables import _fmt, _write_table, _write_text
 from .detector import ConditionalMatrix, DetectorParams, _m_max, _tail_table, build_matrix
-from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
+from .inference import OptimisationReport, PosteriorMatrix, _aligned_prior, optimisation_map, posterior
 from .montecarlo import EmpiricalColumn, ShotConfig, _dark_window, empirical_matrix
 from .priors import NumberPrior, _check_count, custom_prior, pdc_prior, uniform_prior
 
@@ -116,6 +117,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     if "simulate" in outputs:  # column n of the histogram holds n + the sampler's Poisson table
         _check_size("--n-max, --lambda", rows * (n_max + _dark_window(detector.lam)) * 8)
     prior = None if values["prior"] is None else _parse_prior(values["prior"], n_max)
+    if prior is not None:  # posterior's own rule, checked before any P(m|n) is built
+        _checked("--prior, --n-max", _aligned_prior, prior, rows)
     return RunConfig(
         shot_config=shot_config,
         prior=prior,
@@ -130,26 +133,20 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 def run(config: RunConfig) -> int:
     """Compute the stages the selected artifacts read, then create --out and write them.
 
-    Prints one line per emitted file; undefined-outcome warnings go to
-    standard error.
+    Prints one line per emitted file; a one-line undefined-outcome warning
+    goes to standard error. Fails only on I/O (exit 3).
     """
-    try:
-        result = _compute(config)
-    except ValueError as exc:
-        print(f"countfix: error: {exc}", file=sys.stderr)
-        return 2
+    result = _compute(config)
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"countfix: cannot create output directory: {exc}", file=sys.stderr)
         return 3
     if result.post is not None and not result.post.defined.all():
-        missing = np.flatnonzero(~result.post.defined).tolist()
-        print(
-            f"countfix: warning: outcomes {missing} have zero probability "
-            "under this prior and detector; emitted as undefined",
-            file=sys.stderr,
-        )
+        undefined = np.count_nonzero(~result.post.defined)
+        print(f"countfix: warning: {undefined} of {result.post.m_max + 1} outcomes have zero probability under "
+              "this prior and detector; emitted as undefined and listed in summary.json's undefined_outcomes",
+              file=sys.stderr)
     try:
         for line in _emit(config, result):
             print(line)
@@ -286,7 +283,7 @@ def _compute(config: RunConfig) -> _Result:
     matrix = post = report = empirical = None
     if config.prior is not None:  # only `run` has a prior; `simulate` reads the Monte Carlo alone
         matrix = build_matrix(config.shot_config.params, config.n_max)
-        post = _checked("--prior, --n-max", posterior, matrix, config.prior)
+        post = posterior(matrix, config.prior)
         report = optimisation_map(post)
     if "simulate" in config.outputs:
         empirical = empirical_matrix(config.shot_config, config.n_max)

@@ -17,6 +17,7 @@ All functions are pure and their outputs immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,8 @@ def optimisation_map(post: PosteriorMatrix) -> OptimisationReport:
     The optimised signature for outcome m is the smallest n attaining the
     maximum of P(.|m) (within TIE_RTOL); it is always a single photon
     number. Undefined outcomes get map -1 and NaN fidelities and are left
-    out of the averages.
+    out of the averages, each the correctly rounded sum (math.fsum) of its
+    products, which depends on no summation order.
     """
     dfn = post.defined
     top = post.entries.max(axis=0)  # undefined columns are all zero
@@ -147,8 +149,8 @@ def optimisation_map(post: PosteriorMatrix) -> OptimisationReport:
         map=mapped.view(_Fresh),
         fidelity_raw=f_raw.view(_Fresh),
         fidelity_opt=f_opt.view(_Fresh),
-        avg_fidelity_raw=float(weights @ f_raw[dfn]) if dfn.any() else 0.0,
-        avg_fidelity_opt=float(weights @ f_opt[dfn]) if dfn.any() else 0.0,
+        avg_fidelity_raw=math.fsum((weights * f_raw[dfn]).tolist()),
+        avg_fidelity_opt=math.fsum((weights * f_opt[dfn]).tolist()),
         tie=tie.view(_Fresh),
     )
 

@@ -28,12 +28,9 @@ a number of zero weight is never drawn.
 
 Histograms are therefore bit-identical for a given (seed, params, shots)
 and numpy's multinomial stream, which NEP 19 does not freeze across numpy
-versions. This layout dates from version 0.6.0; 0.7.0 changed no draw.
-0.5.0 cut the Poisson table at its 1 - 1e-12 quantile, listed m in
-decreasing probability and the prior in increasing n; 0.3.0 and 0.4.0
-drew the survivors first and then one row of dark counts per survivor
-number; earlier versions drew shot by shot. Their histograms differ.
-numpy counts in int64, so ShotConfig holds fewer than 2**63 shots.
+versions. This layout dates from 0.6.0; earlier histograms differ (README,
+Determinism). numpy counts in int64, so ShotConfig holds fewer than 2**63
+shots.
 
 The law of m is np.convolve of the binomial pmf of S with the Poisson pmf
 of D. Each pmf is built up to a constant factor from its mode outward by
@@ -136,11 +133,10 @@ def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     """
     n_max = _check_count(n_max, "n_max")
     dark = _poisson_pmf(config.params.lam)
-    k = np.arange(1.0, n_max + 1)
     columns = []
     for n in range(n_max + 1):
         counts = np.zeros(n + len(dark), dtype=np.int64)
-        law = np.convolve(_binomial_pmf(config.params.p_loss, n, k), dark)
+        law = np.convolve(_binomial_pmf(config.params.p_loss, n), dark)
         _draw(_stream(config.seed, _COLUMN_NAMESPACE, n), config.shots, law, counts)
         columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
     return columns
@@ -155,13 +151,12 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
     """
     dark = _poisson_pmf(config.params.lam)
     n_top = len(prior.probs) - 1
-    k = np.arange(1.0, n_top + 1)
     counts = np.zeros((n_top + 1, n_top + len(dark)), dtype=np.int64)
     stream = _stream(config.seed, _JOINT_NAMESPACE, 0)
     incident = np.zeros(n_top + 1, dtype=np.int64)
     _draw(stream, config.shots, prior.probs, incident)
     for n in np.flatnonzero(incident).tolist():
-        law = np.convolve(_binomial_pmf(config.params.p_loss, n, k), dark)
+        law = np.convolve(_binomial_pmf(config.params.p_loss, n), dark)
         _draw(stream, incident[n], law, counts[n])
     return counts
 
@@ -181,16 +176,17 @@ def _draw(stream: np.random.Generator, shots: int, weights: np.ndarray, out: np.
     out[drawn] = stream.multinomial(shots, p[drawn])
 
 
-def _binomial_pmf(p_loss: float, n: int, k: np.ndarray) -> np.ndarray:
-    """Binomial(n, 1 - p_loss) pmf over s = 0..n, up to a constant factor;
-    k holds 1.0, 2.0, ... up to at least n. Built by _from_mode with
-    pmf(s) / pmf(s - 1) = (n + 1 - s) / s times the odds (1 - p_loss) / p_loss,
-    read from p_loss itself, so no small p_loss is lost to 1 - (1 - p_loss)."""
+def _binomial_pmf(p_loss: float, n: int) -> np.ndarray:
+    """Binomial(n, 1 - p_loss) pmf over s = 0..n, up to a constant factor.
+    Built by _from_mode with pmf(s) / pmf(s - 1) = (n + 1 - s) / s times the
+    odds (1 - p_loss) / p_loss, read from p_loss itself, so no small p_loss
+    is lost to 1 - (1 - p_loss)."""
     if p_loss in (0.0, 1.0):  # every photon survives, or every photon is lost
         pmf = np.zeros(n + 1)
         pmf[0 if p_loss else n] = 1.0
         return pmf
     odds = (1.0 - p_loss) / p_loss
+    k = np.arange(1.0, n + 1)
     mode = min(n, int((n + 1) * (1.0 - p_loss)))
     # the ratios for s = mode + 1..n, then the inverse ratios for s = mode..1
     return _from_mode(k[: n - mode][::-1] / k[mode:n] * odds, k[:mode][::-1] / k[n - mode : n] / odds)

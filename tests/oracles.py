@@ -10,14 +10,17 @@ Every exact reference comes from mpmath at 50 significant digits: the
 Poisson and binomial pmfs, the Poisson tail (a regularized incomplete gamma
 function) and the binomial tails (a regularized incomplete beta function). The
 dark-count truncation depth is found by bisection on the exact tail rather
-than on a table of pmf values. The table renderer formats, and for JSON
-parses, one cell at a time.
+than on a table of pmf values. The pure dark-count channel (p_loss 0) under
+a pdc prior also has closed forms: its map, its ties and its mean raw
+fidelity. The table renderer formats, and for JSON parses, one cell at a
+time.
 """
 
 import decimal
 import functools
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -179,6 +182,36 @@ def enum_optmap(p_loss: float, lam: float, prior: np.ndarray, m_max: int) -> lis
         else:
             out.append(argmax_smallest(posterior[:, m])[0])
     return out
+
+
+def dark_mean(lam: float, chi: float) -> Fraction:
+    """mu = lam / chi^2, exactly, from the doubles lam and chi."""
+    return Fraction(lam) / Fraction(chi) ** 2
+
+
+def dark_optmap(lam: float, chi: float, n_max: int, m_max: int) -> tuple[list[int], list[bool]]:
+    """Closed-form map and ties for m = 0..m_max at p_loss 0 under pdc:chi.
+
+    With no loss, m = n + d for d ~ Poisson(lam), so P(n|m) is proportional
+    to lam^(m-n) / (m-n)! chi^(2n) over n = 0..min(m, n_max), and
+    P(n+1|m) / P(n|m) = (m - n) / mu with mu = dark_mean(lam, chi). The
+    posterior rises while m - n > mu, so it peaks at m - min(m, floor(mu)),
+    capped at n_max. It ties with the next n exactly when that ratio is 1
+    there and the next n is a candidate: mu whole, m >= mu and m - mu < n_max.
+    """
+    mu = dark_mean(lam, chi)
+    maps, ties = [], []
+    for m in range(m_max + 1):
+        n = min(n_max, m - min(m, math.floor(mu)))
+        maps.append(n)
+        ties.append(m - n == mu and n < min(m, n_max))
+    return maps, ties
+
+
+def dark_avg_fidelity_raw(lam: float) -> float:
+    """Mean raw fidelity at p_loss 0 under any prior: the signature is right
+    exactly when no dark count fires, P(d = 0) = e^-lam."""
+    return math.exp(-lam)
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:

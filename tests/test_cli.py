@@ -160,14 +160,28 @@ def test_undefined_outcomes_warn_and_mark(tmp_path):
         "--emit", "pnm,optmap,fidelity", "--out", str(out),
     )
     assert res.returncode == 0
-    assert "undefined" in res.stderr
-    assert "[4, 5, 6]" in res.stderr
+    # one line: the count, and where summary.json lists the outcomes
+    assert res.stderr.count("\n") == 1
+    assert "3 of 7 outcomes" in res.stderr
+    assert "emitted as undefined" in res.stderr and "summary.json's undefined_outcomes" in res.stderr
     _, pnm_rows = read_csv(out / "pnm.csv")
     assert all(row[5] == "undefined" for row in pnm_rows)
     _, opt_rows = read_csv(out / "optmap.csv")
     assert [r[1] for r in opt_rows[4:]] == ["undefined"] * 3
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["undefined_outcomes"] == [4, 5, 6]
+
+
+def test_many_undefined_outcomes_warn_in_one_short_line(tmp_path, capsys):
+    # 88,096 of 102,038 outcomes are undefined; summary.json lists them, stderr counts them
+    out = tmp_path / "out"
+    code = cli.main(["run", "--n-max", "19", "--lambda", "1e5", "--prior", "pdc:0.5", "--emit", "optmap",
+                     "--out", str(out)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert "88096 of 102038 outcomes" in err
+    assert len(json.loads((out / "summary.json").read_text(encoding="utf-8"))["undefined_outcomes"]) == 88096
 
 
 def test_summary_contents(tmp_path):
@@ -706,6 +720,23 @@ def test_a_run_builds_its_poisson_table_once(tmp_path):
                      "--emit", "pmn", "--out", str(tmp_path)])
     assert code == 0
     assert detector._poisson_table.cache_info().misses == 1
+
+
+def test_a_prior_beyond_n_max_is_refused_by_parse_config():
+    with pytest.raises(cli.UsageError, match="--prior, --n-max: prior extends to n=30"):
+        cli.parse_config(["run", "--prior", "uniform:0:30"])
+
+
+def test_a_prior_beyond_n_max_is_refused_before_any_matrix(tmp_path, monkeypatch):
+    # uniform:0:3000 against n_max 2000 would otherwise build the 2001 x 2001 P(m|n) first
+    def build(params, n_max):
+        raise AssertionError(f"P(m|n) built for n_max {n_max}")
+
+    monkeypatch.setattr(cli, "build_matrix", build)
+    code = cli.main(["run", "--n-max", "2000", "--lambda", "0", "--prior", "uniform:0:3000",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_flag_exits_2():

@@ -6,13 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from countfix.detector import ConditionalMatrix, DetectorParams, build_matrix
 from countfix.inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
 from countfix.priors import NumberPrior, custom_prior, pdc_prior, uniform_prior
-from oracles import argmax_smallest, enum_posterior
+from oracles import argmax_smallest, dark_avg_fidelity_raw, dark_mean, dark_optmap, enum_posterior
 
 LOSSY = DetectorParams(p_loss=0.5, lam=0.0)
 NOISY = DetectorParams(p_loss=0.3, lam=1.2)
@@ -182,6 +182,48 @@ def test_average_fidelities_are_marginal_weighted():
     )
     assert report.avg_fidelity_raw == pytest.approx(raw, rel=1e-13)
     assert report.avg_fidelity_opt == pytest.approx(opt, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "p_loss, lam, n_max, chi",
+    # OpenBLAS's SkylakeX ddot put one average of each 1 ulp from its correctly rounded sum
+    [(0.0, 10.0, 19, 0.7), (0.3, 2.5, 400, 0.9), (0.99, 800.0, 60, 0.745072)],
+)
+def test_averages_are_correctly_rounded_sums(p_loss, lam, n_max, chi):
+    post = posterior(build_matrix(DetectorParams(p_loss=p_loss, lam=lam), n_max), pdc_prior(chi, n_max=n_max))
+    report = optimisation_map(post)
+    defined = np.flatnonzero(post.defined).tolist()
+    p_m = post.outcome_marginal
+    assert report.avg_fidelity_raw == math.fsum(p_m[m] * report.fidelity_raw[m] for m in defined)
+    assert report.avg_fidelity_opt == math.fsum(p_m[m] * report.fidelity_opt[m] for m in defined)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.0, 20.0, exclude_min=True), chi=st.floats(0.1, 0.9), n_max=st.integers(0, 59))
+@example(lam=2.0, chi=0.5, n_max=30)  # mu = 8: m - 8 ties with m - 7
+@example(lam=4.5, chi=0.75, n_max=40)  # mu = 8, with ties rounded apart by an ulp or so
+@example(lam=0.25, chi=0.5, n_max=5)  # mu = 1: every m >= 1 but the capped ones ties
+@example(lam=0.01, chi=0.9, n_max=10)  # mu < 1: the identity, capped at n_max
+@example(lam=20.0, chi=0.1, n_max=59)  # mu near 2000: every outcome maps to 0
+@example(lam=20.0, chi=0.5, n_max=59)  # mu = 80: m >= 80 maps down by 80, with a tie
+@example(lam=5e-324, chi=0.9, n_max=59)
+def test_pure_dark_counts_match_their_closed_form(lam, chi, n_max):
+    """Maps, ties and the mean raw fidelity at p_loss 0 against oracles.dark_optmap.
+
+    A mu within 1e-9 of a whole number k <= m_max, but not whole, puts two
+    hypotheses of outcome m >= k within TIE_RTOL of each other while the
+    closed form ranks them apart, so such draws are skipped; a whole mu is
+    kept, ties and all.
+    """
+    post = posterior(build_matrix(DetectorParams(p_loss=0.0, lam=lam), n_max), pdc_prior(chi, n_max=n_max))
+    mu = dark_mean(lam, chi)
+    assume(mu.denominator == 1 or abs(mu - round(mu)) > 1e-9 * mu or round(mu) > post.m_max)
+    report = optimisation_map(post)
+    assert post.defined.all()
+    maps, ties = dark_optmap(lam, chi, n_max, post.m_max)
+    assert report.map.tolist() == maps
+    assert report.tie.tolist() == ties
+    assert report.avg_fidelity_raw == pytest.approx(dark_avg_fidelity_raw(lam), rel=1e-13)
 
 
 def test_prior_scaling_by_power_of_two_is_bit_identical():

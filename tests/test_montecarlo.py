@@ -77,7 +77,7 @@ def _add_shots(stream, shots, n, params, out):
     """Add to out the histogram of `shots` shots with n incident photons:
     one draw over the sampler's binomial pmf convolved with its Poisson
     pmf."""
-    binomial = montecarlo._binomial_pmf(params.p_loss, n, np.arange(1.0, n + 1))
+    binomial = montecarlo._binomial_pmf(params.p_loss, n)
     _draw(stream, shots, np.convolve(binomial, montecarlo._poisson_pmf(params.lam)), out)
 
 
@@ -615,7 +615,7 @@ def test_joint_memory_stays_near_its_result():
 def test_joint_builds_survivor_rows_only_for_drawn_numbers(monkeypatch, prior, rows):
     built = []
     binomial_pmf = montecarlo._binomial_pmf
-    monkeypatch.setattr(montecarlo, "_binomial_pmf", lambda p_loss, n, k: built.append(n) or binomial_pmf(p_loss, n, k))
+    monkeypatch.setattr(montecarlo, "_binomial_pmf", lambda p_loss, n: built.append(n) or binomial_pmf(p_loss, n))
     assert empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), prior).sum() == 100
     assert built == rows
 
