@@ -8,9 +8,8 @@ how each raw count should be reinterpreted and with what confidence.
 import os
 import sys
 
-# countfix's only BLAS calls are the 1-d dot products (OpenBLAS ddot) that
-# each sampler law's np.convolve makes. The thread pool that OpenBLAS starts
-# as numpy loads slows every cold start, and these calls do not need it.
+# countfix makes no BLAS call, and the thread pool that OpenBLAS starts as
+# numpy loads slows every cold start, so the pool is kept to one thread.
 # OpenBLAS reads the variable once, at load: once numpy is loaded, setting it
 # would only reach child processes. A user's own value wins.
 if "numpy" not in sys.modules:
@@ -21,7 +20,7 @@ from .inference import OptimisationReport, PosteriorMatrix, optimisation_map, po
 from .montecarlo import EmpiricalColumn, ShotConfig, empirical_joint, empirical_matrix  # noqa: E402
 from .priors import NumberPrior, custom_prior, pdc_prior, uniform_prior  # noqa: E402
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "ConditionalMatrix",

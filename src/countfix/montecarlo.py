@@ -1,16 +1,19 @@
 """Seeded stochastic simulation of detection histograms.
 
-Serves as the independent statistical oracle for the analytic pipeline: a
-shot with n incident photons draws Binomial(n, 1 - p_loss) survivors plus a
-Poisson(lam) number of dark counts. The sampler builds its own probability
-tables and shares no code with countfix.detector, whose results it checks.
+Serves as the statistical oracle for the analytic pipeline: a shot with n
+incident photons draws Binomial(n, 1 - p_loss) survivors plus a Poisson(lam)
+number of dark counts. The sampler builds its own probability tables and
+calls no code of countfix.detector, whose results it checks. It does share
+that module's maths: both add one photon at a time to a Poisson table. So
+its laws have their own check, tests/oracles.py's conv_law, which sums
+mpmath binomial and Poisson terms and which they meet within 1e-12
+relative.
 
 A histogram of independent shots is itself a multinomial draw, so the
-samplers draw histograms, not shots. A shot's measured count m = S + D
-follows the convolution of the binomial law of its survivors S with the
-Poisson law of its dark counts D, so `shots` shots with n incident photons
-split over m in one multinomial(shots, law of m). The work grows with the
-support of that law, not with the number of shots.
+samplers draw histograms, not shots. A shot's measured count m = S + D is
+its survivors S plus its dark counts D, so `shots` shots with n incident
+photons split over m in one multinomial(shots, law of m). The work grows
+with the support of that law, not with the number of shots.
 
 Reproducibility contract. All randomness comes from numpy's Generator on
 the Philox 4x64 counter-based generator. The 64-bit seed is used directly
@@ -28,21 +31,24 @@ a number of zero weight is never drawn.
 
 Histograms are therefore bit-identical for a given (seed, params, shots)
 and numpy's multinomial stream, which NEP 19 does not freeze across numpy
-versions. This layout dates from 0.6.0; earlier histograms differ (README,
-Determinism). numpy counts in int64, so ShotConfig holds fewer than 2**63
-shots.
+versions. The laws date from 0.8.0 and the stream layout from 0.6.0;
+earlier histograms differ (README, Determinism). numpy counts in int64, so
+ShotConfig holds fewer than 2**63 shots.
 
-The law of m is np.convolve of the binomial pmf of S with the Poisson pmf
-of D. Each pmf is built up to a constant factor from its mode outward by
-the ratio of neighbouring entries (pmf(s) / pmf(s - 1) = (n + 1 - s)
-(1 - p_loss) / (s p_loss), and pmf(d) / pmf(d - 1) = lam / d), so every
-entry carries a relative error of a few roundings per step from the mode
-and no p_loss**n underflows. The odds are read from p_loss itself, so a
-loss too small to change 1 - p_loss still reaches the law. A call builds
-the Poisson pmf once, over d < lam + 12 sqrt(lam) + 40 up to its last
-entry that does not underflow, and cuts it nowhere else: the mass beyond
-that window is below 1e-32 for every lam (about 2e-33 as lam grows), less
-than 1e-13 of a shot at 2**63 shots.
+The law of m for n = 0 is the Poisson table of D, and each further photon
+is lost with probability p_loss or kept:
+law_(n+1)[m] = p_loss law_n[m] + (1 - p_loss) law_n[m - 1]. A step is an
+elementwise multiply and add over n + q entries, with no BLAS call and no
+fused multiply-add, so every SIMD width gives the same bits, and the laws
+of n = 0..n_max take O(n_max (n_max + q)) work. Every entry is a sum of
+non-negative terms, so a step adds a few roundings of relative error and
+nothing cancels. The step multiplies by p_loss itself, so a loss too small
+to change 1 - p_loss still reaches the law. A call builds the Poisson
+table once, up to a constant factor, from its mode outward by the ratio
+pmf(d) / pmf(d - 1) = lam / d, over d < lam + 12 sqrt(lam) + 40 up to its
+last entry that does not underflow, and cuts it nowhere else: the mass
+beyond that window is below 1e-32 for every lam (about 2e-33 as lam
+grows), less than 1e-13 of a shot at 2**63 shots.
 
 numpy draws the categories in turn, each as a binomial of the shots left
 with probability p_j / (1 - p_0 - ... - p_(j-1)), stops once the shots are
@@ -55,13 +61,14 @@ unlikely category is drawn with a relative error of a few roundings, and
 the absolute error lands where the counts are largest. (In decreasing
 probability it lands on the least likely counts; at 2**62 shots that puts
 hundreds of shots on counts of probability below 1e-60.) The loop then
-visits every category while shots are left, k binomial draws, and the
-convolution that builds the law already costs more.
+visits every category while shots are left, k binomial draws, which cost
+more than the step that builds the law.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,12 +138,9 @@ def empirical_matrix(config: ShotConfig, n_max: int) -> list[EmpiricalColumn]:
     Column histograms estimate P(.|n). Column n reads its own substream
     alone.
     """
-    n_max = _check_count(n_max, "n_max")
-    dark = _poisson_pmf(config.params.lam)
     columns = []
-    for n in range(n_max + 1):
-        counts = np.zeros(n + len(dark), dtype=np.int64)
-        law = np.convolve(_binomial_pmf(config.params.p_loss, n), dark)
+    for n, law in _laws(config.params, _check_count(n_max, "n_max")):
+        counts = np.zeros(len(law), dtype=np.int64)
         _draw(_stream(config.seed, _COLUMN_NAMESPACE, n), config.shots, law, counts)
         columns.append(EmpiricalColumn(n=n, counts=counts, total=config.shots))
     return columns
@@ -149,15 +153,14 @@ def empirical_joint(config: ShotConfig, prior: NumberPrior) -> np.ndarray:
     histogram on its total reproduces the Bayes posterior P(n|m)
     empirically.
     """
-    dark = _poisson_pmf(config.params.lam)
     n_top = len(prior.probs) - 1
-    counts = np.zeros((n_top + 1, n_top + len(dark)), dtype=np.int64)
+    counts = np.zeros((n_top + 1, n_top + len(_poisson_pmf(config.params.lam))), dtype=np.int64)
     stream = _stream(config.seed, _JOINT_NAMESPACE, 0)
     incident = np.zeros(n_top + 1, dtype=np.int64)
     _draw(stream, config.shots, prior.probs, incident)
-    for n in np.flatnonzero(incident).tolist():
-        law = np.convolve(_binomial_pmf(config.params.p_loss, n), dark)
-        _draw(stream, incident[n], law, counts[n])
+    for n, law in _laws(config.params, int(np.flatnonzero(incident)[-1])):
+        if incident[n]:
+            _draw(stream, incident[n], law, counts[n])
     return counts
 
 
@@ -176,29 +179,17 @@ def _draw(stream: np.random.Generator, shots: int, weights: np.ndarray, out: np.
     out[drawn] = stream.multinomial(shots, p[drawn])
 
 
-def _binomial_pmf(p_loss: float, n: int) -> np.ndarray:
-    """Binomial(n, 1 - p_loss) pmf over s = 0..n, up to a constant factor.
-    Built by _from_mode with pmf(s) / pmf(s - 1) = (n + 1 - s) / s times the
-    odds (1 - p_loss) / p_loss, read from p_loss itself, so no small p_loss
-    is lost to 1 - (1 - p_loss)."""
-    if p_loss in (0.0, 1.0):  # every photon survives, or every photon is lost
-        pmf = np.zeros(n + 1)
-        pmf[0 if p_loss else n] = 1.0
-        return pmf
-    odds = (1.0 - p_loss) / p_loss
-    k = np.arange(1.0, n + 1)
-    mode = min(n, int((n + 1) * (1.0 - p_loss)))
-    # the ratios for s = mode + 1..n, then the inverse ratios for s = mode..1
-    return _from_mode(k[: n - mode][::-1] / k[mode:n] * odds, k[:mode][::-1] / k[n - mode : n] / odds)
-
-
-def _from_mode(up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """A unimodal pmf up to a constant factor: 1 at its mode, each entry
-    above it the one below times up[i], each entry below it the one above
-    times down[i], nearest the mode first. An entry carries a few roundings
-    per step from the mode, and none underflows before the entries nearer
-    the mode."""
-    return np.concatenate([np.cumprod(down)[::-1], [1.0], np.cumprod(up)])
+def _laws(params: DetectorParams, top: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, law of m) for n = 0..top, each law up to a constant factor
+    over m = 0..n + q: the Poisson table, then one photon added per step as
+    in the module docstring."""
+    law = _poisson_pmf(params.lam)
+    for n in range(top + 1):
+        if n:
+            kept = (1.0 - params.p_loss) * law
+            law = np.append(params.p_loss * law, 0.0)
+            law[1:] += kept
+        yield n, law
 
 
 def _dark_window(lam: float) -> int:
@@ -211,11 +202,13 @@ def _poisson_pmf(lam: float) -> np.ndarray:
     """Poisson(lam) pmf over d = 0..q, up to a constant factor, q the last
     count below _dark_window(lam) whose entry does not underflow.
 
-    Built by _from_mode with pmf(d) / pmf(d - 1) = lam / d. The mass at and
-    beyond lam + 12 sqrt(lam) + 40 is below 1e-32 of the whole; at lam = 0
-    the table is [1.0].
+    1 at the mode, each entry above it the one below times lam / d, each
+    entry below it the one above times d / lam, so an entry carries a few
+    roundings per step from the mode. The mass at and beyond
+    lam + 12 sqrt(lam) + 40 is below 1e-32 of the whole; at lam = 0 the
+    table is [1.0].
     """
     d = np.arange(1.0, _dark_window(lam))
     mode = int(lam)
-    pmf = _from_mode(lam / d[mode:], d[:mode][::-1] / lam)
+    pmf = np.concatenate([np.cumprod(d[:mode][::-1] / lam)[::-1], [1.0], np.cumprod(lam / d[mode:])])
     return pmf[: np.flatnonzero(pmf)[-1] + 1]

@@ -10,10 +10,10 @@ Every exact reference comes from mpmath at 50 significant digits: the
 Poisson and binomial pmfs, the Poisson tail (a regularized incomplete gamma
 function) and the binomial tails (a regularized incomplete beta function). The
 dark-count truncation depth is found by bisection on the exact tail rather
-than on a table of pmf values. The pure dark-count channel (p_loss 0) under
-a pdc prior also has closed forms: its map, its ties and its mean raw
-fidelity. The table renderer formats, and for JSON parses, one cell at a
-time.
+than on a table of pmf values. The two pure channels under a pdc prior,
+dark counts alone (p_loss 0) and loss alone (lam 0), also have closed
+forms: their maps, their ties and their mean raw fidelities. The table
+renderer formats, and for JSON parses, one cell at a time.
 """
 
 import decimal
@@ -212,6 +212,45 @@ def dark_avg_fidelity_raw(lam: float) -> float:
     """Mean raw fidelity at p_loss 0 under any prior: the signature is right
     exactly when no dark count fires, P(d = 0) = e^-lam."""
     return math.exp(-lam)
+
+
+def loss_odds(p_loss: float, chi: float) -> Fraction:
+    """x = p_loss chi^2, exactly, from the doubles p_loss and chi."""
+    return Fraction(p_loss) * Fraction(chi) ** 2
+
+
+def loss_optmap(p_loss: float, chi: float, n_max: int) -> tuple[list[int], list[bool]]:
+    """Closed-form map and ties for m = 0..n_max at lam 0 under pdc:chi.
+
+    With no dark count, m is the n - k photons that survive, so P(n|m) is
+    proportional to C(n, m) p_loss^(n-m) chi^(2n) over n = m..n_max, and
+    P(n+1|m) / P(n|m) = x (n + 1) / (n + 1 - m) with x = loss_odds(p_loss,
+    chi). At n = m + k that ratio falls as k grows and exceeds 1 exactly
+    when k < t = ((m + 1) x - 1) / (1 - x), so the posterior peaks at
+    m + k*: k* = 0 when (m + 1) x <= 1, and otherwise floor(t) + 1, capped
+    at n_max. A whole t >= 0 ties m + t with m + t + 1, and the map takes
+    the smaller; it is a tie when m + t + 1 is a candidate, m + t < n_max.
+    """
+    x = loss_odds(p_loss, chi)
+    maps, ties = [], []
+    for m in range(n_max + 1):
+        t = ((m + 1) * x - 1) / (1 - x)
+        k = max(0, math.ceil(t))
+        maps.append(min(n_max, m + k))
+        ties.append(t == k and m + k < n_max)
+    return maps, ties
+
+
+def loss_avg_fidelity_raw(p_loss: float, chi: float, n_max: int) -> float:
+    """Mean raw fidelity at lam 0 under pdc:chi cut at n_max: the signature
+    is right exactly when no photon is lost, so it is the sum of
+    chi^(2n) (1 - p_loss)^n over the sum of chi^(2n), n = 0..n_max, to 50
+    significant digits. Untruncated it is (1 - chi^2) / (1 - (1 - p_loss) chi^2)."""
+    with mpmath.workdps(50):
+        chi2, kept = mpmath.mpf(chi) ** 2, 1 - mpmath.mpf(p_loss)
+        return float(
+            mpmath.fsum((chi2 * kept) ** n for n in range(n_max + 1)) / mpmath.fsum(chi2**n for n in range(n_max + 1))
+        )
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:

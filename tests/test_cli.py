@@ -225,7 +225,8 @@ def test_json_format(tmp_path):
 def test_json_output_matches_fixture_bytes(command, args, tmp_path):
     # the tables were written by the cell-by-cell renderer of countfix 0.2.0,
     # the simulated counts, one draw per column in increasing probability over
-    # an uncut Poisson table, by 0.6.0, and summary.json by 0.7.0
+    # an uncut Poisson table, by 0.6.0 (0.8.0's laws draw the same counts),
+    # and summary.json by 0.8.0
     res = run_cli(command, *args, "--format", "json", "--out", str(tmp_path))
     assert res.returncode == 0, res.stderr
     expected = FIXTURES / command
@@ -536,6 +537,42 @@ def test_concurrent_simulations_are_byte_identical(tmp_path):
     reference = (tmp_path / "a" / "empirical_pmn.csv").read_bytes()
     assert (tmp_path / "b" / "empirical_pmn.csv").read_bytes() == reference
     assert (tmp_path / "c" / "empirical_pmn.csv").read_bytes() == reference
+
+
+def _openblas_kernels_unselectable():
+    """Why OPENBLAS_CORETYPE cannot be shown to pick both Prescott and
+    Haswell here, or None when it can."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        return "numpy < 1.25 has no show_config(mode='dicts') to confirm a DYNAMIC_ARCH OpenBLAS"
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE picks no kernel"
+    simd = config.get("SIMD Extensions", {})
+    # numpy 2.4 names AVX2's group X86_V3, and X86_V4 includes it
+    if not {"AVX2", "X86_V3", "X86_V4"} & {*simd.get("baseline", []), *simd.get("found", [])}:
+        return "the CPU lacks AVX2, which OpenBLAS's Haswell kernel needs"
+    return None
+
+
+def test_extreme_shot_histograms_do_not_depend_on_the_blas_kernel(tmp_path):
+    # 2**62 shots resolve a law's last bits, which a BLAS kernel would set
+    reason = _openblas_kernels_unselectable()
+    if reason:
+        pytest.skip(reason)
+    args = ["simulate", "--p-loss", "0.3", "--lambda", "1", "--shots", str(2**62)]
+    for kernel in ("Prescott", "Haswell"):
+        res = subprocess.run(
+            [sys.executable, "-m", "countfix", *args, "--out", str(tmp_path / kernel)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+    name = "empirical_pmn.csv"
+    assert (tmp_path / "Prescott" / name).read_bytes() == (tmp_path / "Haswell" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 from countfix.detector import ConditionalMatrix, DetectorParams, build_matrix
 from countfix.inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
 from countfix.priors import NumberPrior, custom_prior, pdc_prior, uniform_prior
-from oracles import argmax_smallest, dark_avg_fidelity_raw, dark_mean, dark_optmap, enum_posterior
+from oracles import (
+    argmax_smallest,
+    dark_avg_fidelity_raw,
+    dark_mean,
+    dark_optmap,
+    enum_posterior,
+    loss_avg_fidelity_raw,
+    loss_odds,
+    loss_optmap,
+)
 
 LOSSY = DetectorParams(p_loss=0.5, lam=0.0)
 NOISY = DetectorParams(p_loss=0.3, lam=1.2)
@@ -224,6 +233,32 @@ def test_pure_dark_counts_match_their_closed_form(lam, chi, n_max):
     assert report.map.tolist() == maps
     assert report.tie.tolist() == ties
     assert report.avg_fidelity_raw == pytest.approx(dark_avg_fidelity_raw(lam), rel=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p_loss=st.floats(0.01, 0.99), chi=st.floats(0.1, 0.9), n_max=st.integers(0, 59))
+@example(p_loss=0.5, chi=0.5, n_max=30)  # x = 1/8: t = (m - 7) / 7 ties at m = 7, 14, 21 and 28
+@example(p_loss=0.5, chi=0.5, n_max=14)  # the tie at m = 14 is capped
+@example(p_loss=0.01, chi=0.1, n_max=59)  # x = 1e-4: the identity
+@example(p_loss=0.99, chi=0.9, n_max=59)  # x near 0.8: every m >= 1 maps to n_max
+@example(p_loss=0.99, chi=0.1, n_max=0)
+def test_pure_loss_matches_its_closed_form(p_loss, chi, n_max):
+    """Maps, ties and the mean raw fidelity at lam 0 against oracles.loss_optmap.
+
+    A neighbour ratio P(n+1|m) / P(n|m) within 1e-9 of 1, but not 1, puts
+    two hypotheses within TIE_RTOL of each other while the closed form ranks
+    them apart, so such draws are skipped; an exact tie is kept.
+    """
+    x = loss_odds(p_loss, chi)
+    assume(all(not 0 < abs(x * (n + 1) / (n + 1 - m) - 1) < 1e-9 for m in range(n_max + 1) for n in range(m, n_max)))
+    post = posterior(build_matrix(DetectorParams(p_loss=p_loss, lam=0.0), n_max), pdc_prior(chi, n_max=n_max))
+    report = optimisation_map(post)
+    assert post.m_max == n_max
+    assert post.defined.all()
+    maps, ties = loss_optmap(p_loss, chi, n_max)
+    assert report.map.tolist() == maps
+    assert report.tie.tolist() == ties
+    assert report.avg_fidelity_raw == pytest.approx(loss_avg_fidelity_raw(p_loss, chi, n_max), rel=1e-13)
 
 
 def test_prior_scaling_by_power_of_two_is_bit_identical():

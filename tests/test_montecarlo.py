@@ -75,10 +75,10 @@ def _draw(stream, shots, weights, out):
 
 def _add_shots(stream, shots, n, params, out):
     """Add to out the histogram of `shots` shots with n incident photons:
-    one draw over the sampler's binomial pmf convolved with its Poisson
-    pmf."""
-    binomial = montecarlo._binomial_pmf(params.p_loss, n)
-    _draw(stream, shots, np.convolve(binomial, montecarlo._poisson_pmf(params.lam)), out)
+    one draw over the sampler's own law of m for n (its values are checked
+    against conv_law in test_each_law_handed_to_numpy_is_the_convolution)."""
+    *_, (_, law) = montecarlo._laws(params, n)
+    _draw(stream, shots, law, out)
 
 
 def _column_by_layout(seed, n, shots, params, size):
@@ -613,11 +613,20 @@ def test_joint_memory_stays_near_its_result():
     [(uniform_prior(1000, 1000), [1000]), (custom_prior([0.0, 0.5, 0.0, 0.5, 0.0]), [1, 3])],
 )
 def test_joint_builds_survivor_rows_only_for_drawn_numbers(monkeypatch, prior, rows):
-    built = []
-    binomial_pmf = montecarlo._binomial_pmf
-    monkeypatch.setattr(montecarlo, "_binomial_pmf", lambda p_loss, n: built.append(n) or binomial_pmf(p_loss, n))
+    # law n has n + q + 1 entries, so each draw after the prior's names its n
+    drawn, tops = [], []
+    draw, laws = montecarlo._draw, montecarlo._laws
+    q = len(montecarlo._poisson_pmf(NOISY.lam)) - 1
+
+    def recorded_draw(stream, shots, weights, out):
+        drawn.append(len(weights) - q - 1)
+        draw(stream, shots, weights, out)
+
+    monkeypatch.setattr(montecarlo, "_draw", recorded_draw)
+    monkeypatch.setattr(montecarlo, "_laws", lambda params, top: tops.append(top) or laws(params, top))
     assert empirical_joint(ShotConfig(params=NOISY, seed=0, shots=100), prior).sum() == 100
-    assert built == rows
+    assert drawn[1:] == rows
+    assert tops == [max(rows)]
 
 
 def test_column_and_joint_streams_are_disjoint():
