@@ -55,12 +55,14 @@ class DetectorParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_loss <= 1.0):
             raise ValueError(f"p_loss must be in [0, 1], got {self.p_loss!r}")
-        object.__setattr__(self, "p_loss", self.p_loss + 0.0)  # -0.0 reads as 0.0
-        object.__setattr__(self, "lam", _rate(self.lam))
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
         if not (0.0 < self.tail_epsilon < 1.0):
             raise ValueError(
                 f"tail_epsilon must be in (0, 1), got {self.tail_epsilon!r}"
             )
+        object.__setattr__(self, "p_loss", self.p_loss + 0.0)  # -0.0 reads as 0.0
+        object.__setattr__(self, "lam", self.lam + 0.0)
 
 
 @dataclass(frozen=True)
@@ -107,38 +109,22 @@ def build_matrix(params: DetectorParams, n_max: int) -> ConditionalMatrix:
     """
     n_max = _check_count(n_max, "n_max")
     m_max = _m_max(params, n_max)
-    return ConditionalMatrix(_response(params, n_max, m_max).view(_Fresh))  # adopted, not copied
-
-
-def _m_max(params: DetectorParams, n_max: int) -> int:
-    """The last measured count build_matrix keeps for incident numbers 0..n_max."""
-    return n_max + _poisson_tail_quantile(params.lam, params.tail_epsilon)
-
-
-def _response(params: DetectorParams, n_max: int, m_max: int) -> np.ndarray:
-    """entries[m, n] = P(m|n) from the Poisson column 0, one photon per column."""
     # m_max is at least the table's lower edge lo, as the tail quantile is
     lo, hi = _tail_table(params.lam)
     top = min(m_max, hi)
     entries = np.empty((m_max + 1, n_max + 1))
     entries[:, 0] = 0.0  # a count outside the table gets 0
     entries[lo : top + 1, 0] = _poisson_table(params.lam)[: top + 1 - lo]
-    for n in range(n_max):
-        _add_photon(entries[:, n], entries[:, n + 1], params.p_loss)
-    return entries
+    for n in range(n_max):  # one more photon: lost, or kept as one more count
+        col, out = entries[:, n], entries[:, n + 1]
+        np.multiply(col, params.p_loss, out=out)
+        out[1:] += (1.0 - params.p_loss) * col[:-1]  # out[0] gets no kept photon
+    return ConditionalMatrix(entries.view(_Fresh))  # adopted, not copied
 
 
-def _add_photon(col: np.ndarray, out: np.ndarray, p_loss: float) -> None:
-    """out = P(.|n+1) over col's rows of P(.|n); out[0] gets no kept photon."""
-    np.multiply(col, p_loss, out=out)
-    out[1:] += (1.0 - p_loss) * col[:-1]
-
-
-def _rate(lam: float) -> float:
-    """lam checked as a dark-count mean, with -0.0 read as 0.0."""
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-    return lam + 0.0
+def _m_max(params: DetectorParams, n_max: int) -> int:
+    """The last measured count build_matrix keeps for incident numbers 0..n_max."""
+    return n_max + _poisson_tail_quantile(params.lam, params.tail_epsilon)
 
 
 @functools.lru_cache(maxsize=1)

@@ -12,7 +12,12 @@ function) and the binomial tails (a regularized incomplete beta function). The
 dark-count truncation depth is found by bisection on the exact tail rather
 than on a table of pmf values. The two pure channels under a pdc prior,
 dark counts alone (p_loss 0) and loss alone (lam 0), also have closed
-forms: their maps, their ties and their mean raw fidelities. The table
+forms: their maps, their ties and their mean raw fidelities. The combined
+channel under a pdc prior has a closed form for P(m) and the raw fidelity,
+computed in mpmath at a precision set by its cancellation. That reference
+models the pdc prior as the real geometric law (1 - chi^2) chi^(2n) cut at
+n_max, not as pdc_prior's vector of doubles, whose weights underflow at
+large n; the two differ where those weights are subnormal or zero. The table
 renderer formats, and for JSON parses, one cell at a time.
 """
 
@@ -251,6 +256,71 @@ def loss_avg_fidelity_raw(p_loss: float, chi: float, n_max: int) -> float:
         return float(
             mpmath.fsum((chi2 * kept) ** n for n in range(n_max + 1)) / mpmath.fsum(chi2**n for n in range(n_max + 1))
         )
+
+
+@functools.lru_cache(maxsize=1)
+def pdc_marginal_exact(p_loss: float, lam: float, chi: float, n_max: int, m_max: int) -> tuple[mpmath.mpf, ...]:
+    """P(m) for m = 0..m_max under pdc:chi cut at N = n_max, with both loss
+    and dark counts, by the closed form of the combined channel.
+
+    With x = chi^2 and eta = 1 - p_loss, the untruncated prior (1 - x) x^n
+    thins to survivors that are geometric with ratio y = eta x / (1 - p_loss x),
+    so the untruncated marginal is G(m) = y G(m-1) + (1 - y) Pois(m), with
+    G(-1) = 0. The prior cut at N is the untruncated one less x^(N+1) times
+    itself shifted by N + 1 photons, whose survivors add Binomial(N+1, eta):
+
+        P(m) = [G(m) - x^(N+1) sum_i Bin(N+1, eta)(i) G(m-i)] / (1 - x^(N+1)).
+
+    The subtraction cancels for m > N, so the precision is 30 + (N+1)
+    log10(1/x) + m_max log10(1/y) digits; at p_loss 1, y = 0 and nothing
+    beyond the first two terms is needed. At lam 0 every m > N is impossible
+    and gets exactly 0, where rounding would leave a residue. p_loss, lam and
+    chi are read as their exact doubles.
+    """
+    x_double = chi * chi
+    y_double = (1.0 - p_loss) * x_double / (1.0 - p_loss * x_double)
+    digits = 30 + (n_max + 1) * math.log10(1.0 / x_double)
+    if y_double > 0.0:
+        digits += m_max * math.log10(1.0 / y_double)
+    with mpmath.workdps(math.ceil(digits)):
+        x, lost, rate = mpmath.mpf(chi) ** 2, mpmath.mpf(p_loss), mpmath.mpf(lam)
+        eta = 1 - lost
+        y = eta * x / (1 - lost * x)
+        pois = [mpmath.exp(-rate)]
+        for m in range(1, m_max + 1):
+            pois.append(pois[-1] * rate / m)
+        g = [(1 - y) * pois[0]]
+        for m in range(1, m_max + 1):
+            g.append(y * g[-1] + (1 - y) * pois[m])
+        shift = [mpmath.binomial(n_max + 1, i) * eta**i * lost ** (n_max + 1 - i) for i in range(min(m_max, n_max + 1) + 1)]
+        cut = x ** (n_max + 1)
+        marginal = [(g[m] - cut * mpmath.fsum(shift[i] * g[m - i] for i in range(min(m, n_max + 1) + 1))) / (1 - cut)
+                    for m in range(m_max + 1)]
+    if lam == 0.0:
+        marginal[n_max + 1 :] = [mpmath.mpf(0)] * max(0, m_max - n_max)
+    return tuple(marginal)
+
+
+def pdc_raw_fidelity_exact(p_loss: float, lam: float, chi: float, n_max: int, m_max: int) -> list[mpmath.mpf]:
+    """F_raw(m) = P(n = m | m) for m = 0..m_max under pdc_marginal_exact's
+    model: P_N(n = m) P(m|m) / P(m), where P(m|m) sums over the k of the m
+    photons lost and replaced by k dark counts. It is 0 for m > n_max and
+    NaN where P(m) is exactly 0."""
+    marginal = pdc_marginal_exact(p_loss, lam, chi, n_max, m_max)
+    with mpmath.workdps(30):
+        x, lost, rate = mpmath.mpf(chi) ** 2, mpmath.mpf(p_loss), mpmath.mpf(lam)
+        fidelity = []
+        for m, p_m in enumerate(marginal):
+            if p_m == 0:
+                fidelity.append(mpmath.nan)
+            elif m > n_max:
+                fidelity.append(mpmath.mpf(0))
+            else:
+                prior = (1 - x) * x**m / (1 - x ** (n_max + 1))
+                pmm = mpmath.fsum(mpmath.binomial(m, k) * lost**k * (1 - lost) ** (m - k) * rate**k / mpmath.factorial(k)
+                                  for k in range(m + 1)) * mpmath.exp(-rate)
+                fidelity.append(prior * pmm / p_m)
+    return fidelity
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:

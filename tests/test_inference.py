@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from countfix.detector import ConditionalMatrix, DetectorParams, build_matrix
 from countfix.inference import OptimisationReport, PosteriorMatrix, optimisation_map, posterior
+from countfix.montecarlo import EmpiricalColumn
 from countfix.priors import NumberPrior, custom_prior, pdc_prior, uniform_prior
 from oracles import (
     argmax_smallest,
@@ -21,6 +22,8 @@ from oracles import (
     loss_avg_fidelity_raw,
     loss_odds,
     loss_optmap,
+    pdc_marginal_exact,
+    pdc_raw_fidelity_exact,
 )
 
 LOSSY = DetectorParams(p_loss=0.5, lam=0.0)
@@ -261,6 +264,37 @@ def test_pure_loss_matches_its_closed_form(p_loss, chi, n_max):
     assert report.avg_fidelity_raw == pytest.approx(loss_avg_fidelity_raw(p_loss, chi, n_max), rel=1e-13)
 
 
+@settings(max_examples=50, deadline=None)
+@given(p_loss=st.floats(0.0, 1.0), lam=st.floats(0.0, 50.0), chi=st.floats(0.1, 0.9), n_max=st.integers(0, 79))
+@example(p_loss=0.9, lam=0.1, chi=0.9, n_max=60)  # a precision from x alone was off by 1.7e-7 at m = 66
+@example(p_loss=1.0, lam=0.0, chi=0.5, n_max=10)  # y = 0: every m > 0 is impossible
+@example(p_loss=0.5, lam=50.0, chi=0.9, n_max=79)  # the widest draw: m_max 180
+def test_pdc_channel_matches_its_closed_form(p_loss, lam, chi, n_max):
+    """P(m) and F_raw with both loss and dark counts against
+    oracles.pdc_marginal_exact and pdc_raw_fidelity_exact.
+
+    Values are compared on the outcomes whose marginal and diagonal joint
+    cell P(m|m) P(n = m) are both normal doubles. Every outcome the reference
+    calls impossible is flagged undefined; the converse does not hold yet, as
+    a possible outcome whose marginal underflows is flagged too.
+    """
+    matrix = build_matrix(DetectorParams(p_loss=p_loss, lam=lam), n_max)
+    prior = pdc_prior(chi, n_max=n_max)
+    post = posterior(matrix, prior)
+    report = optimisation_map(post)
+    marginal = pdc_marginal_exact(p_loss, lam, chi, n_max, post.m_max)
+    fidelity = pdc_raw_fidelity_exact(p_loss, lam, chi, n_max, post.m_max)
+    joint = np.zeros(post.m_max + 1)
+    joint[: n_max + 1] = np.diagonal(matrix.entries) * prior.probs
+    normal = (post.outcome_marginal >= np.finfo(float).tiny) & (joint >= np.finfo(float).tiny)
+    for m in range(post.m_max + 1):
+        if marginal[m] == 0:
+            assert not post.defined[m], m
+        if normal[m]:
+            assert post.outcome_marginal[m] == pytest.approx(float(marginal[m]), rel=1e-13), m
+            assert report.fidelity_raw[m] == pytest.approx(float(fidelity[m]), rel=1e-13), m
+
+
 def test_prior_scaling_by_power_of_two_is_bit_identical():
     weights = [0.3, 1.7, 0.9, 0.2]
     mat = build_matrix(NOISY, 3)
@@ -305,6 +339,7 @@ def test_posterior_arrays_immutable():
 _RESULTS = {
     NumberPrior: ({"probs": "probs"}, {"label": "given"}),
     ConditionalMatrix: ({"entries": "square"}, {}),
+    EmpiricalColumn: ({"counts": "map"}, {"n": 0, "total": 2}),
     PosteriorMatrix: ({"entries": "square", "outcome_marginal": "probs", "defined": "flags"}, {}),
     OptimisationReport: (
         {"map": "map", "fidelity_raw": "probs", "fidelity_opt": "probs", "tie": "flags"},
